@@ -39,11 +39,6 @@ struct RunConfig {
   std::string Program;
 };
 
-struct Metric {
-  double Value = 0;
-  std::string Unit;
-};
-
 struct RunResult {
   /// False when a whole-run invariant broke (a crashed daemon, traced
   /// and untraced modules that differ, a warm cache on a cold start);
@@ -53,8 +48,11 @@ struct RunResult {
   uint64_t Failed = 0;
   /// One line per failed operation or broken invariant.
   std::vector<std::string> Problems;
-  std::map<std::string, Metric> EndToEnd;
-  std::map<std::string, Metric> PerLayer;
+  /// Metric values by name. The names and units are declared once, in
+  /// BENCHMARK.json; run.py attaches the units and rejects a name it
+  /// does not declare.
+  std::map<std::string, double> EndToEnd;
+  std::map<std::string, double> PerLayer;
 
   void fail(const std::string &Problem) {
     ++Failed;
@@ -71,7 +69,7 @@ struct RunResult {
 using Clock = std::chrono::steady_clock;
 
 /// Set-ups per run; setup_s is their median.
-inline constexpr unsigned SetupRuns = 5;
+inline constexpr unsigned SetupRuns = 3;
 
 inline double secondsSince(Clock::time_point T0) {
   return std::chrono::duration<double>(Clock::now() - T0).count();
@@ -89,9 +87,10 @@ double peakRssMb();
 /// Peak resident set of process \p Pid (VmHWM), in MiB; 0 if unknown.
 double peakRssMbOf(int Pid);
 
-/// Known miscompiles that show on every run of a workload: the failure
-/// line of an operation names the fault when its program and function
-/// match an entry.
+/// Known faults that show on every run of a workload: the failure line
+/// of an operation names the fault when its program and function match
+/// an entry. An entry with an empty Function is a fault of a whole
+/// session rather than of one function's merge.
 struct KnownFault {
   const char *Id;
   const char *Program;
@@ -102,18 +101,11 @@ const std::vector<KnownFault> &knownFaults();
 /// "new".
 std::string faultId(const std::string &Program, const std::string &Function);
 
-/// Records per-layer metric \p Name (which must be one of the
-/// benchmark's declared per-layer metrics; its unit comes from there).
-void setLayer(RunResult &R, const std::string &Name, double Value);
 
 /// Records the merge, align, rank, pipeline and shard per-layer
 /// metrics summed over \p Runs (one MergeDriverStats per merged input).
 void setDriverLayers(RunResult &R,
                      const std::vector<const salssa::MergeDriverStats *> &Runs);
-
-/// Fills the per-layer metrics a workload does not exercise with 0, so
-/// every workload reports the same metric set.
-void completePerLayer(RunResult &R);
 
 int runSpec06Serial(const RunConfig &Cfg, Tracer &T, RunResult &R);
 int runWholeProgram(const RunConfig &Cfg, Tracer &T, RunResult &R);

@@ -16,13 +16,14 @@
 //   3. a restart on the same cache file and a warm re-registration.
 //
 // Operations: every registration plus every epoch. Checks: each epoch's
-// ModuleDigest equals an in-process MergeService mirror; at the
-// checkpoint epochs the mirror equals a from-scratch CrossModuleMerger
-// over the same edited pool and passes the interpreter differential
-// against a never-merged copy; every cold digest equals the mirror's
-// epoch 0 and the warm digest equals the cold one. The pool and the
-// edit script are fixed (see ScriptSeed); the run seed picks the
-// oracle's per-run vector and the apply tokens.
+// ModuleDigest equals an in-process MergeService mirror; every
+// CheckpointEvery-th epoch the mirror equals a from-scratch
+// CrossModuleMerger over the same edited pool, and every OracleEvery-th
+// it passes the interpreter differential against a never-merged copy (a
+// checkpoint that fails either fails its epoch); every cold digest
+// equals the mirror's epoch 0 and the warm digest equals the cold one.
+// The pool and the edit script are fixed (see ScriptSeed); the run seed
+// picks the oracle's per-run vector and the apply tokens.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,19 +62,30 @@ namespace {
 constexpr unsigned ColdLegs = 7;
 constexpr unsigned EpochCount = 100;
 constexpr unsigned StatsPollMillis = 20;
-/// Epochs whose mirror is also checked against a from-scratch session
-/// and the interpreter oracle (the last epoch included).
-constexpr unsigned Checkpoints[] = {50, EpochCount};
+/// Every this many epochs (the last one included) the mirror is also
+/// compared with a from-scratch session, and every OracleEvery epochs it
+/// is checked by the interpreter oracle. The oracle costs half a second
+/// a checkpoint and runs between timed epochs; checking every 10th epoch
+/// keeps a run near a minute.
+constexpr unsigned CheckpointEvery = 5;
+constexpr unsigned OracleEvery = 10;
+static_assert(EpochCount % OracleEvery == 0 &&
+              OracleEvery % CheckpointEvery == 0);
+/// Threads that run the checkpoints' from-scratch sessions after the
+/// epochs (each session is serial).
+constexpr unsigned CheckWorkers = 4;
 /// The edit script is fixed, not drawn from the run seed: the
 /// incremental session drifts from the from-scratch one (fault F3 in
 /// README.md) at epochs that depend on the script, so a seeded script
-/// would fail a different number of checkpoints on each seed.
-constexpr uint64_t ScriptSeed = 0xed1f;
+/// would fail a different number of checkpoints on each seed. This is
+/// the script F3 was found on; on it the drift shows from epoch 5, so
+/// a change that mends F3 lowers this workload's failure count.
+const uint64_t ScriptSeed = mix64(1 ^ 0xed17);
 
 BenchmarkProfile poolProfile() {
   BenchmarkProfile P;
   P.Name = "daemon_pool";
-  P.NumFunctions = 300;
+  P.NumFunctions = 400;
   P.MinSize = 8;
   P.AvgSize = 42;
   P.MaxSize = 160;
@@ -124,12 +136,15 @@ struct Pool {
   std::vector<Module *> Mods;
 };
 
-Pool buildPool() {
+/// Generates the pool; adds the seconds it took to \p Seconds.
+Pool buildPool(std::vector<double> &Seconds) {
+  Clock::time_point T0 = Clock::now();
   Pool P;
   P.Ctx = std::make_unique<Context>();
   P.Group = buildBenchmarkModuleGroup(poolProfile(), *P.Ctx, 2);
   for (size_t I = 0; I < P.Group.size(); ++I)
     P.Mods.push_back(&P.Group[I]);
+  Seconds.push_back(secondsSince(T0));
   return P;
 }
 
@@ -346,6 +361,44 @@ private:
   std::thread Thread;
 };
 
+struct Checkpoint {
+  unsigned Epoch;
+  uint64_t MirrorDigest;
+  uint64_t ColdDigest; ///< filled in by fromScratchDigests
+  /// The oracle's report; empty when it passed or did not run.
+  std::string OracleFailure;
+};
+
+/// Runs one from-scratch session per checkpoint, each over a fresh pool
+/// edited by the script's first Epoch steps, on CheckWorkers threads,
+/// and records its digest. The pools are generated on this thread, one
+/// timing sample each into \p PoolS.
+void fromScratchDigests(const EditScript &Script,
+                        const MergeDriverOptions &Options,
+                        std::vector<Checkpoint> &Checks,
+                        std::vector<double> &PoolS) {
+  std::vector<Pool> Pools;
+  for (size_t I = 0; I < Checks.size(); ++I)
+    Pools.push_back(buildPool(PoolS));
+  std::atomic<size_t> Next{0};
+  auto Work = [&] {
+    for (size_t I; (I = Next++) < Checks.size();) {
+      for (unsigned K = 0; K < Checks[I].Epoch; ++K)
+        applyPlain(Pools[I].Mods, Script.stepSpec(K));
+      CrossModuleMerger Session(Options);
+      for (Module *M : Pools[I].Mods)
+        Session.addModule(*M);
+      Session.run();
+      Checks[I].ColdDigest = moduleDigest(Pools[I].Mods);
+      Pools[I].Group = ModuleGroup(); // freed before its context
+      Pools[I].Ctx.reset();
+    }
+  };
+  std::vector<std::unique_ptr<JoiningThread>> Workers;
+  for (unsigned W = 0; W < CheckWorkers; ++W)
+    Workers.push_back(std::make_unique<JoiningThread>(Work));
+}
+
 double microsecondsOf(const std::function<void()> &Fn, unsigned Reps) {
   Clock::time_point T0 = Clock::now();
   for (unsigned I = 0; I < Reps; ++I)
@@ -364,9 +417,11 @@ int runDaemonEdits(const RunConfig &Cfg, Tracer &T, RunResult &R) {
 
   // The bench side's own copies: the mirror session, the never-merged
   // reference (edits applied, no merging) and the script planned from a
-  // pristine pool.
-  Pool MirrorPool = buildPool();
-  Pool RefPool = buildPool();
+  // pristine pool. setup_s is the median generation of a pool (these
+  // two and one per checkpoint) plus the median daemon start.
+  std::vector<double> PoolS, StartS;
+  Pool MirrorPool = buildPool(PoolS);
+  Pool RefPool = buildPool(PoolS);
   const EditScript Script(RefPool.Mods, scriptOptions());
   MergeServiceOptions SO;
   SO.Driver = sessionOptions();
@@ -378,7 +433,7 @@ int runDaemonEdits(const RunConfig &Cfg, Tracer &T, RunResult &R) {
   const double MirrorInitS = secondsSince(TI);
   const uint64_t Epoch0Digest = moduleDigest(MirrorPool.Mods);
 
-  std::vector<double> SetupS, ColdS;
+  std::vector<double> ColdS;
   std::unique_ptr<TempDir> Dir;
   std::unique_ptr<DaemonProcess> Daemon;
   uint64_t ColdDigest = 0;
@@ -390,18 +445,12 @@ int runDaemonEdits(const RunConfig &Cfg, Tracer &T, RunResult &R) {
                    Cfg.WorkDir.c_str());
       return 1;
     }
-    // Set-up: the daemon start plus generating the bench side's inputs
-    // (mirror and reference pools, the edit script) once more.
     Clock::time_point T0 = Clock::now();
     Daemon = std::make_unique<DaemonProcess>(
         Binary, Dir->file("salssad.sock"), Dir->file("cache.bin"),
         Dir->file("salssad.log"));
     bool Ready = Daemon->waitReady();
-    {
-      Pool A = buildPool(), B = buildPool();
-      EditScript S(B.Mods, scriptOptions());
-    }
-    SetupS.push_back(secondsSince(T0));
+    StartS.push_back(secondsSince(T0));
     if (!Ready) {
       std::fprintf(stderr, "perfbench: salssad did not start\n");
       return 1;
@@ -436,6 +485,7 @@ int runDaemonEdits(const RunConfig &Cfg, Tracer &T, RunResult &R) {
          Uncommitted = 0, LastSize = 0, Steps = 0;
   std::vector<double> StatsMs;
   unsigned StatsErrors = 0;
+  std::vector<Checkpoint> Checks;
   {
     DaemonClient Writer(clientOptions(Socket));
     StatsPoller Poller(Socket, T);
@@ -527,36 +577,44 @@ int runDaemonEdits(const RunConfig &Cfg, Tracer &T, RunResult &R) {
             64));
       }
 
-      for (unsigned C : Checkpoints) {
-        if (C != E + 1)
-          continue;
-        // A from-scratch session over the same edited pool must land on
-        // the mirror's bytes, and the mirror must behave like the
-        // never-merged reference.
-        Tracer::Span S = T.span("oracle", "checkpoint", Op);
-        Pool Cold = buildPool();
-        for (unsigned K = 0; K <= E; ++K)
-          applyPlain(Cold.Mods, Script.stepSpec(K));
-        CrossModuleMerger Session(SO.Driver);
-        for (Module *M : Cold.Mods)
-          Session.addModule(*M);
-        Session.run();
-        const bool ColdEqual = moduleDigest(Cold.Mods) == Digest;
-        OracleReport Rep =
-            differentialCheck(RefPool.Mods, MirrorPool.Mods, Cfg.Seed);
-        if (!ColdEqual || !Rep.ok())
-          R.fail("epoch " + std::to_string(C) + " [" +
-                 (ColdEqual ? "new" : "F3") + "]: " +
-                 (ColdEqual ? "" : "the incremental session differs from a "
-                                   "from-scratch session over the same "
-                                   "edited pool\n") +
-                 Rep.summary("daemon-edits"));
-        if (C == EpochCount)
-          Steps = double(Rep.MergedSteps);
+      if ((E + 1) % CheckpointEvery == 0) {
+        // The mirror's bytes are compared with a from-scratch session
+        // after the loop; here it must behave like the never-merged
+        // reference.
+        Checks.push_back({E + 1, Digest, 0, ""});
+        if ((E + 1) % OracleEvery == 0) {
+          Tracer::Span S = T.span("oracle", "differentialCheck", Op);
+          OracleReport Rep =
+              differentialCheck(RefPool.Mods, MirrorPool.Mods, Cfg.Seed);
+          Checks.back().OracleFailure = Rep.summary("daemon-edits");
+          if (E + 1 == EpochCount)
+            Steps = double(Rep.MergedSteps);
+        }
       }
     }
     StatsMs = Poller.finish();
     StatsErrors = Poller.errors();
+  }
+
+  // Each checkpoint's from-scratch session over the same edited pool must
+  // land on the mirror's bytes. A checkpoint that fails this or the
+  // oracle fails its epoch.
+  {
+    Tracer::Span S = T.span("oracle", "fromScratchSessions");
+    fromScratchDigests(Script, SO.Driver, Checks, PoolS);
+  }
+  for (const Checkpoint &C : Checks) {
+    const bool ColdEqual = C.ColdDigest == C.MirrorDigest;
+    if (ColdEqual && C.OracleFailure.empty())
+      continue;
+    // The session-wide drift is the workload's known fault; an oracle
+    // failure on a cold-equal session is a new one.
+    R.fail("epoch " + std::to_string(C.Epoch) + " [" +
+           (ColdEqual ? "new" : faultId("daemon-edits", "")) + "]: " +
+           (ColdEqual ? "" : "mirror digest " + hex(C.MirrorDigest) +
+                                 " != from-scratch session " +
+                                 hex(C.ColdDigest) + "\n") +
+           C.OracleFailure);
   }
   R.invariant(StatsErrors == 0, std::to_string(StatsErrors) +
                                     " QueryStats requests failed");
@@ -589,32 +647,32 @@ int runDaemonEdits(const RunConfig &Cfg, Tracer &T, RunResult &R) {
   }
 
   if (T.enabled()) {
-    setLayer(R, "service.init_s", MirrorInitS);
-    setLayer(R, "service.apply_ms", median(ServiceApplyMs));
-    setLayer(R, "service.dirty_classes", DirtyClasses / EpochCount);
-    setLayer(R, "service.epoch_attempts", EpochAttempts / EpochCount);
-    setLayer(R, "service.epoch_pairing_calls", PairingCalls / EpochCount);
-    setLayer(R, "service.uncommitted_merges", Uncommitted / EpochCount);
-    setLayer(R, "rpc.register_ms", median(ColdS) * 1e3);
-    setLayer(R, "rpc.begin_ms", median(BeginMs));
-    setLayer(R, "rpc.checkout_ms", median(CheckoutMs));
-    setLayer(R, "rpc.apply_ms", median(ApplyMs));
-    setLayer(R, "rpc.stats_ms", median(StatsMs));
-    setLayer(R, "wire.overhead_ms", median(OverheadMs));
-    setLayer(R, "protocol.encode_us", median(EncodeUs));
-    setLayer(R, "protocol.decode_us", median(DecodeUs));
-    setLayer(R, "edit.p50_ms", median(EditMs));
-    setLayer(R, "edit.p90_ms", quantile(EditMs, 0.9));
-    setLayer(R, "warm_merge_s", WarmS);
-    setLayer(R, "stats.p50_ms", median(StatsMs));
-    setLayer(R, "cache.hits", double(WarmHits));
+    R.PerLayer["service.init_s"] = MirrorInitS;
+    R.PerLayer["service.apply_ms"] = median(ServiceApplyMs);
+    R.PerLayer["service.dirty_classes"] = DirtyClasses / EpochCount;
+    R.PerLayer["service.epoch_attempts"] = EpochAttempts / EpochCount;
+    R.PerLayer["service.epoch_pairing_calls"] = PairingCalls / EpochCount;
+    R.PerLayer["service.uncommitted_merges"] = Uncommitted / EpochCount;
+    R.PerLayer["rpc.register_ms"] = median(ColdS) * 1e3;
+    R.PerLayer["rpc.begin_ms"] = median(BeginMs);
+    R.PerLayer["rpc.checkout_ms"] = median(CheckoutMs);
+    R.PerLayer["rpc.apply_ms"] = median(ApplyMs);
+    R.PerLayer["rpc.stats_ms"] = median(StatsMs);
+    R.PerLayer["wire.overhead_ms"] = median(OverheadMs);
+    R.PerLayer["protocol.encode_us"] = median(EncodeUs);
+    R.PerLayer["protocol.decode_us"] = median(DecodeUs);
+    R.PerLayer["edit.p50_ms"] = median(EditMs);
+    R.PerLayer["edit.p90_ms"] = quantile(EditMs, 0.9);
+    R.PerLayer["warm_merge_s"] = WarmS;
+    R.PerLayer["stats.p50_ms"] = median(StatsMs);
+    R.PerLayer["cache.hits"] = double(WarmHits);
 
     // The cache file as the daemons left it: load and save timed from
     // the bench side, misses from an in-process warm start on a copy.
     const uint64_t FP = DecisionCache::optionsFingerprint(SO.Driver);
     struct stat St;
     if (stat(Dir->file("cache.bin").c_str(), &St) == 0)
-      setLayer(R, "cache.file_bytes", double(St.st_size));
+      R.PerLayer["cache.file_bytes"] = double(St.st_size);
     DecisionCache Cache;
     Clock::time_point T0 = Clock::now();
     {
@@ -623,29 +681,29 @@ int runDaemonEdits(const RunConfig &Cfg, Tracer &T, RunResult &R) {
                       DecisionCache::LoadOutcome::Loaded,
                   "the daemon's decision cache does not load");
     }
-    setLayer(R, "cache.load_ms", secondsSince(T0) * 1e3);
+    R.PerLayer["cache.load_ms"] = secondsSince(T0) * 1e3;
     T0 = Clock::now();
     {
       Tracer::Span S = T.span("merge.cache", "DecisionCache::save");
       R.invariant(Cache.save(Dir->file("cache.copy"), FP, nullptr),
                   "the decision cache does not save");
     }
-    setLayer(R, "cache.save_ms", secondsSince(T0) * 1e3);
-    Pool WarmPool = buildPool();
+    R.PerLayer["cache.save_ms"] = secondsSince(T0) * 1e3;
+    Pool WarmPool = buildPool(PoolS);
     MergeServiceOptions WarmSO = SO;
     WarmSO.Driver.DecisionCachePath = Dir->file("cache.copy");
     MergeService WarmSvc(WarmSO);
     for (Module *M : WarmPool.Mods)
       WarmSvc.addModule(*M);
     MergeServiceStats WarmStats = WarmSvc.initialize();
-    setLayer(R, "cache.misses", double(WarmStats.Session.Driver.CacheMisses));
+    R.PerLayer["cache.misses"] = double(WarmStats.Session.Driver.CacheMisses);
   }
 
-  R.EndToEnd["setup_s"] = {median(SetupS), "s"};
-  R.EndToEnd["merge_s"] = {median(ColdS), "s"};
-  R.EndToEnd["code_size_bytes"] = {LastSize, "bytes"};
-  R.EndToEnd["exec_steps"] = {Steps, "steps"};
-  R.EndToEnd["peak_rss_mb"] = {PeakRss, "MB"};
+  R.EndToEnd["setup_s"] = median(PoolS) + median(StartS);
+  R.EndToEnd["merge_s"] = median(ColdS);
+  R.EndToEnd["code_size_bytes"] = LastSize;
+  R.EndToEnd["exec_steps"] = Steps;
+  R.EndToEnd["peak_rss_mb"] = PeakRss;
   return 0;
 }
 

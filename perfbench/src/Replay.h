@@ -30,7 +30,6 @@ struct StageSplit {
   uint64_t Replayed = 0; ///< attempts replayed
   double LinearizeS = 0;
   double AlignS = 0;
-  double CodegenS = 0; ///< generateMergedFunction: codegen + SSA repair + cleanup
   double SizeModelS = 0;
   double VerifyS = 0;
 };

@@ -84,6 +84,7 @@ int runSpec06Serial(const RunConfig &Cfg, Tracer &T, RunResult &R) {
   std::vector<double> SetupS;
   std::vector<Program> Inputs;
   for (unsigned I = 0; I < SetupRuns; ++I) {
+    Inputs.clear(); // one copy of the input alive at a time
     Clock::time_point T0 = Clock::now();
     Inputs = generate(Profiles);
     SetupS.push_back(secondsSince(T0));
@@ -93,13 +94,17 @@ int runSpec06Serial(const RunConfig &Cfg, Tracer &T, RunResult &R) {
   // elapsed. The first round's modules are kept for the oracle; later
   // rounds must reproduce their bytes. A traced run makes one untraced
   // and one traced round, and the difference is the tracing overhead.
+  // Peak RSS is read after round 0, so it covers one input and the
+  // merger's working set whatever the number of rounds.
   Tracer Off(false);
   std::vector<double> RoundS;
   std::vector<Program> Merged;
   Round First;
+  double PeakRss = 0;
   Clock::time_point Start = Clock::now();
   for (unsigned N = 0;; ++N) {
     if (N > 0) {
+      Inputs.clear();
       Clock::time_point T0 = Clock::now();
       Inputs = generate(Profiles);
       SetupS.push_back(secondsSince(T0));
@@ -111,6 +116,7 @@ int runSpec06Serial(const RunConfig &Cfg, Tracer &T, RunResult &R) {
     if (N == 0) {
       First = std::move(Rd);
       Merged = std::move(Inputs);
+      PeakRss = peakRssMb();
     } else {
       for (size_t I = 0; I < Profiles.size(); ++I)
         if (Rd.Digests[I] != First.Digests[I])
@@ -126,14 +132,13 @@ int runSpec06Serial(const RunConfig &Cfg, Tracer &T, RunResult &R) {
             Runs.push_back(&S);
           return Runs;
         }());
-        setLayer(R, "trace.overhead_s", Rd.MergeS - First.MergeS);
+        R.PerLayer["trace.overhead_s"] = Rd.MergeS - First.MergeS;
       }
     }
     if (Cfg.Trace ? N == 1 : secondsSince(Start) >= Cfg.Seconds)
       break;
   }
   Inputs.clear();
-  const double PeakRss = peakRssMb();
 
   // Stage split (traced runs only), on fresh never-merged copies.
   if (Cfg.Trace) {
@@ -149,7 +154,6 @@ int runSpec06Serial(const RunConfig &Cfg, Tracer &T, RunResult &R) {
       Stages.Replayed += S.Replayed;
       Stages.LinearizeS += S.LinearizeS;
       Stages.AlignS += S.AlignS;
-      Stages.CodegenS += S.CodegenS;
       Stages.SizeModelS += S.SizeModelS;
       Stages.VerifyS += S.VerifyS;
       Discovery.FingerprintS += D.FingerprintS;
@@ -187,11 +191,11 @@ int runSpec06Serial(const RunConfig &Cfg, Tracer &T, RunResult &R) {
   // fails the oracle fails in every round.
   R.Failed += uint64_t(FailedPrograms) * RoundS.size();
 
-  R.EndToEnd["setup_s"] = {median(SetupS), "s"};
-  R.EndToEnd["merge_s"] = {median(RoundS), "s"};
-  R.EndToEnd["code_size_bytes"] = {double(SizeAfter), "bytes"};
-  R.EndToEnd["exec_steps"] = {double(Steps), "steps"};
-  R.EndToEnd["peak_rss_mb"] = {PeakRss, "MB"};
+  R.EndToEnd["setup_s"] = median(SetupS);
+  R.EndToEnd["merge_s"] = median(RoundS);
+  R.EndToEnd["code_size_bytes"] = double(SizeAfter);
+  R.EndToEnd["exec_steps"] = double(Steps);
+  R.EndToEnd["peak_rss_mb"] = PeakRss;
   return 0;
 }
 

@@ -35,6 +35,17 @@ struct Suite {
   std::unique_ptr<Context> Ctx;
   ModuleGroup Group; ///< declared after Ctx: destroyed first
 
+  Suite() = default;
+  Suite(Suite &&) = default;
+  /// Tears the old modules down while their context still exists (a
+  /// defaulted move-assign would replace the context first).
+  Suite &operator=(Suite &&Other) {
+    Group = ModuleGroup();
+    Ctx = std::move(Other.Ctx);
+    Group = std::move(Other.Group);
+    return *this;
+  }
+
   std::vector<Module *> mods() const {
     std::vector<Module *> Mods;
     for (size_t I = 0; I < Group.size(); ++I)
@@ -78,6 +89,7 @@ int runWholeProgram(const RunConfig &Cfg, Tracer &T, RunResult &R) {
   std::vector<double> SetupS;
   Suite Input;
   for (unsigned I = 0; I < SetupRuns; ++I) {
+    Input = Suite(); // one copy of the input alive at a time
     Clock::time_point T0 = Clock::now();
     Input = generate(Profiles);
     SetupS.push_back(secondsSince(T0));
@@ -85,14 +97,17 @@ int runWholeProgram(const RunConfig &Cfg, Tracer &T, RunResult &R) {
 
   // Timed rounds, as in spec06-serial: one session per round over a
   // fresh copy, later rounds must reproduce the first round's bytes.
+  // Peak RSS is read after round 0, as in spec06-serial.
   Tracer Off(false);
   std::vector<double> RoundS;
   Suite Merged;
   CrossModuleStats First;
   uint64_t FirstDigest = 0;
+  double PeakRss = 0;
   Clock::time_point Start = Clock::now();
   for (unsigned N = 0;; ++N) {
     if (N > 0) {
+      Input = Suite();
       Clock::time_point T0 = Clock::now();
       Input = generate(Profiles);
       SetupS.push_back(secondsSince(T0));
@@ -115,6 +130,7 @@ int runWholeProgram(const RunConfig &Cfg, Tracer &T, RunResult &R) {
       First = std::move(Stats);
       FirstDigest = Digest;
       Merged = std::move(Input);
+      PeakRss = peakRssMb();
     } else {
       if (Digest != FirstDigest)
         for (const BenchmarkProfile &P : Profiles)
@@ -125,14 +141,13 @@ int runWholeProgram(const RunConfig &Cfg, Tracer &T, RunResult &R) {
                     "the traced round merged to other bytes than the "
                     "untraced one");
         setDriverLayers(R, {&Stats.Driver});
-        setLayer(R, "trace.overhead_s", RoundS[1] - RoundS[0]);
+        R.PerLayer["trace.overhead_s"] = RoundS[1] - RoundS[0];
       }
     }
     if (Cfg.Trace ? N == 1 : secondsSince(Start) >= Cfg.Seconds)
       break;
   }
   Input = Suite();
-  const double PeakRss = peakRssMb();
 
   if (Cfg.Trace) {
     Suite Scratch = generate(Profiles);
@@ -141,7 +156,7 @@ int runWholeProgram(const RunConfig &Cfg, Tracer &T, RunResult &R) {
       Tracer::Span S = T.span("ir.symres", "resolveCalleesAcrossModules");
       resolveCalleesAcrossModules(Scratch.mods());
     }
-    setLayer(R, "symres.s", secondsSince(T0));
+    R.PerLayer["symres.s"] = secondsSince(T0);
     StageSplit Stages =
         replayFirstGeneration(Scratch.mods(), First.Driver.Records, T);
     DiscoverySplit Discovery = timeDiscovery(Scratch.mods(), true, T);
@@ -183,11 +198,11 @@ int runWholeProgram(const RunConfig &Cfg, Tracer &T, RunResult &R) {
                   ") is larger than its input (" +
                   std::to_string(Rep.SizeReference) + ")");
 
-  R.EndToEnd["setup_s"] = {median(SetupS), "s"};
-  R.EndToEnd["merge_s"] = {median(RoundS), "s"};
-  R.EndToEnd["code_size_bytes"] = {double(Rep.SizeMerged), "bytes"};
-  R.EndToEnd["exec_steps"] = {double(Rep.MergedSteps), "steps"};
-  R.EndToEnd["peak_rss_mb"] = {PeakRss, "MB"};
+  R.EndToEnd["setup_s"] = median(SetupS);
+  R.EndToEnd["merge_s"] = median(RoundS);
+  R.EndToEnd["code_size_bytes"] = double(Rep.SizeMerged);
+  R.EndToEnd["exec_steps"] = double(Rep.MergedSteps);
+  R.EndToEnd["peak_rss_mb"] = PeakRss;
   return 0;
 }
 

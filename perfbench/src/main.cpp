@@ -8,10 +8,11 @@
 // Runs one workload (spec06-serial, whole-program-4t, daemon-edits; see
 // README.md), checks its outputs with the interpreter oracle, prints one
 // line per failed operation, and ends standard output with one JSON
-// object: {"correct", "attempted", "failed", "metrics"}. Untraced runs
-// report the end-to-end metrics; traced runs report the per-layer
-// metrics and write <work-dir>/<workload>.trace.json plus the per-layer
-// span table <work-dir>/<workload>.layers.txt.
+// object: {"correct", "attempted", "failed", "metrics"}, each metric a
+// bare value (run.py adds the units). Untraced runs report the
+// end-to-end metrics; traced runs report the per-layer metrics and
+// write <work-dir>/<workload>.trace.json plus the per-layer span table
+// <work-dir>/<workload>.layers.txt.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +33,10 @@ int usage() {
   return 2;
 }
 
+/// The runner's result line. Metric values are bare numbers; run.py
+/// attaches the units declared in BENCHMARK.json.
 void printJson(const RunResult &R, bool Trace) {
-  const std::map<std::string, Metric> &Metrics =
+  const std::map<std::string, double> &Metrics =
       Trace ? R.PerLayer : R.EndToEnd;
   std::printf("{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "
               "\"metrics\": {",
@@ -41,9 +44,8 @@ void printJson(const RunResult &R, bool Trace) {
               static_cast<unsigned long long>(R.Attempted),
               static_cast<unsigned long long>(R.Failed));
   bool First = true;
-  for (const auto &[Name, M] : Metrics) {
-    std::printf("%s\"%s\": {\"value\": %.9g, \"unit\": \"%s\"}",
-                First ? "" : ", ", Name.c_str(), M.Value, M.Unit.c_str());
+  for (const auto &[Name, Value] : Metrics) {
+    std::printf("%s\"%s\": %.9g", First ? "" : ", ", Name.c_str(), Value);
     First = false;
   }
   std::printf("}}\n");
@@ -94,7 +96,6 @@ int main(int Argc, char **Argv) {
   for (const std::string &P : R.Problems)
     std::printf("FAILED %s\n", P.c_str());
   if (Cfg.Trace) {
-    completePerLayer(R);
     std::string Base = Cfg.WorkDir + "/" + Cfg.Workload;
     std::string Table = T.layerTableText();
     std::FILE *F = std::fopen((Base + ".layers.txt").c_str(), "w");
