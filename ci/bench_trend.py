@@ -13,6 +13,11 @@ everything else is informational:
                    an absolute floor (ABS_FLOOR_SECONDS) so micro-legs
                    whose baseline is a few milliseconds cannot fail on
                    scheduler noise.
+  *kernel_seconds  per-iteration means of google-benchmark kernels
+                   (bench_micro_kernels: one merge attempt, one register
+                   promotion). Averaged over many iterations, so they
+                   are gated like wall-clock legs but with the much lower
+                   KERNEL_FLOOR_SECONDS.
   *reduction_pct   size-reduction percentages — the paper's headline
                    metric. These are deterministic, so the tolerance is
                    a flat REDUCTION_TOLERANCE_PCT (15% relative) and any
@@ -35,6 +40,7 @@ WALL_TOLERANCE = 0.15  # +15% wall-clock allowed before failing
 REDUCTION_TOLERANCE_PCT = 0.15  # -15% (relative) reduction allowed
 RECALL_TOLERANCE_PCT = 0.15  # -15% (relative) discovery recall allowed
 ABS_FLOOR_SECONDS = 0.05  # ignore wall regressions under this baseline
+KERNEL_FLOOR_SECONDS = 0.0002  # the same floor for per-iteration kernels
 
 
 def load_benches(path):
@@ -102,14 +108,17 @@ def main(argv):
                 continue
             compared += 1
             if kind == "wall":
-                if base < ABS_FLOOR_SECONDS:
-                    print(f"ok:     {name}.{key} {base:.3f}s -> {value:.3f}s "
-                          f"(under the {ABS_FLOOR_SECONDS}s floor, not gated)")
+                floor = (KERNEL_FLOOR_SECONDS
+                         if key.endswith("kernel_seconds")
+                         else ABS_FLOOR_SECONDS)
+                if base < floor:
+                    print(f"ok:     {name}.{key} {base:.6f}s -> {value:.6f}s "
+                          f"(under the {floor}s floor, not gated)")
                     continue
                 limit = base * (1 + WALL_TOLERANCE)
                 verdict = "FAIL" if value > limit else "ok"
-                print(f"{verdict + ':':7} {name}.{key} {base:.3f}s -> "
-                      f"{value:.3f}s (limit {limit:.3f}s)")
+                print(f"{verdict + ':':7} {name}.{key} {base:.6f}s -> "
+                      f"{value:.6f}s (limit {limit:.6f}s)")
                 if value > limit:
                     failures.append(f"{name}.{key}")
             else:  # reduction / recall: lower is worse

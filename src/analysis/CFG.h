@@ -5,9 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Control-flow graph queries computed from a snapshot of a function:
-/// predecessor maps, traversal orders, reachability. Passes that mutate the
-/// CFG recompute these; nothing here caches across mutations.
+/// Control-flow graph snapshots of one function, stored densely: every
+/// table is a vector indexed by BasicBlock::getNumber().
+///
+/// - PredecessorMap: each block's predecessors. Passes that edit edges
+///   (transforms/Simplify.cpp) keep one map exact with local updates
+///   rather than rebuilding it after each edit.
+/// - CFGInfo: a PredecessorMap plus reverse post-order and reachability.
+///   Immutable: a pass that changes the CFG builds a new one.
+///
+/// Neither observes the IR. A snapshot stays valid while nobody edits the
+/// CFG behind its back or renumbers the function's blocks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,42 +23,78 @@
 #define SALSSA_ANALYSIS_CFG_H
 
 #include "ir/Function.h"
-#include <map>
-#include <set>
 #include <vector>
 
 namespace salssa {
+
+/// Predecessor lists of every block of one function. Each list names a
+/// predecessor once, over all edges (edges out of unreachable blocks
+/// included), in block-list order. The passes append phi incoming entries
+/// in this order, so it is part of their output.
+///
+/// The local updates keep block-list order by the list positions recorded
+/// at construction, so they are valid while blocks are only erased, never
+/// inserted or moved — true of the CFG-simplifying passes that use them.
+class PredecessorMap {
+public:
+  explicit PredecessorMap(const Function &F);
+
+  const std::vector<BasicBlock *> &predecessors(const BasicBlock *BB) const {
+    return Preds[BB->getNumber()];
+  }
+
+  /// Records an edge Pred -> BB (no-op when Pred already reaches BB).
+  void addEdge(BasicBlock *Pred, const BasicBlock *BB);
+
+  /// Records that no edge Pred -> BB remains.
+  void removeEdge(const BasicBlock *Pred, const BasicBlock *BB);
+
+  /// Drops the list of a block that is being erased.
+  void clear(const BasicBlock *BB) { Preds[BB->getNumber()].clear(); }
+
+private:
+  std::vector<std::vector<BasicBlock *>> Preds;
+  std::vector<unsigned> Position; ///< block-list position at construction
+};
 
 /// An immutable snapshot of a function's CFG structure.
 class CFGInfo {
 public:
   explicit CFGInfo(const Function &F);
 
-  /// Unique predecessor blocks of \p BB (no duplicate entries even when
-  /// multiple edges exist from the same block).
-  const std::vector<BasicBlock *> &predecessors(const BasicBlock *BB) const;
+  /// Predecessors of \p BB as in PredecessorMap: unique, block-list
+  /// order, unreachable sources included.
+  const std::vector<BasicBlock *> &predecessors(const BasicBlock *BB) const {
+    return Preds.predecessors(BB);
+  }
 
   /// Blocks in reverse post-order from the entry (unreachable blocks are
   /// excluded).
   const std::vector<BasicBlock *> &reversePostOrder() const { return RPO; }
 
-  /// Post-order position (higher = earlier in RPO); unreachable blocks are
-  /// absent.
   bool isReachable(const BasicBlock *BB) const {
-    return Reachable.count(BB) != 0;
+    return RPOIndex[BB->getNumber()] != Unreachable;
   }
 
-  size_t getNumReachableBlocks() const { return Reachable.size(); }
+  /// Position of a reachable block in reversePostOrder().
+  unsigned rpoIndex(const BasicBlock *BB) const {
+    assert(isReachable(BB) && "RPO index of an unreachable block");
+    return RPOIndex[BB->getNumber()];
+  }
+
+  size_t getNumReachableBlocks() const { return RPO.size(); }
+
+  /// One past the largest block number the tables cover.
+  unsigned getNumBlockSlots() const {
+    return static_cast<unsigned>(RPOIndex.size());
+  }
 
 private:
-  std::map<const BasicBlock *, std::vector<BasicBlock *>> Preds;
+  static constexpr unsigned Unreachable = ~0u;
+  PredecessorMap Preds;
   std::vector<BasicBlock *> RPO;
-  std::set<const BasicBlock *> Reachable;
-  std::vector<BasicBlock *> Empty;
+  std::vector<unsigned> RPOIndex;
 };
-
-/// Blocks of \p F reachable from the entry.
-std::set<const BasicBlock *> reachableBlocks(const Function &F);
 
 } // namespace salssa
 

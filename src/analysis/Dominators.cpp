@@ -9,25 +9,35 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Dominators.h"
+#include <algorithm>
 
 using namespace salssa;
 
-DominatorTree::DominatorTree(const Function &F) : F(F), CFG(F) {
+DominatorTree::DominatorTree(const Function &F)
+    : CFG(F), IDom(CFG.getNumBlockSlots(), nullptr),
+      Children(CFG.getNumBlockSlots()), DFSIn(CFG.getNumBlockSlots(), 0),
+      DFSOut(CFG.getNumBlockSlots(), 0) {
   const std::vector<BasicBlock *> &RPO = CFG.reversePostOrder();
   if (RPO.empty())
     return;
-  for (unsigned I = 0; I < RPO.size(); ++I)
-    RPOIndex[RPO[I]] = I;
+  auto idom = [&](const BasicBlock *BB) -> BasicBlock *& {
+    return IDom[BB->getNumber()];
+  };
 
   BasicBlock *Entry = RPO.front();
-  IDom[Entry] = Entry; // sentinel: entry is its own idom internally
+  idom(Entry) = Entry; // sentinel: entry is its own idom internally
 
   auto Intersect = [&](BasicBlock *A, BasicBlock *B) {
+    unsigned AIdx = CFG.rpoIndex(A), BIdx = CFG.rpoIndex(B);
     while (A != B) {
-      while (RPOIndex.at(A) > RPOIndex.at(B))
-        A = IDom.at(A);
-      while (RPOIndex.at(B) > RPOIndex.at(A))
-        B = IDom.at(B);
+      while (AIdx > BIdx) {
+        A = idom(A);
+        AIdx = CFG.rpoIndex(A);
+      }
+      while (BIdx > AIdx) {
+        B = idom(B);
+        BIdx = CFG.rpoIndex(B);
+      }
     }
     return A;
   };
@@ -39,51 +49,73 @@ DominatorTree::DominatorTree(const Function &F) : F(F), CFG(F) {
       BasicBlock *BB = RPO[I];
       BasicBlock *NewIDom = nullptr;
       for (BasicBlock *P : CFG.predecessors(BB)) {
-        if (!IDom.count(P))
-          continue; // predecessor not yet processed
+        if (!idom(P))
+          continue; // unreachable, or not yet processed
         NewIDom = NewIDom ? Intersect(NewIDom, P) : P;
       }
       assert(NewIDom && "reachable block with no processed predecessor");
-      auto It = IDom.find(BB);
-      if (It == IDom.end() || It->second != NewIDom) {
-        IDom[BB] = NewIDom;
+      if (idom(BB) != NewIDom) {
+        idom(BB) = NewIDom;
         Changed = true;
       }
     }
   }
 
   for (unsigned I = 1; I < RPO.size(); ++I)
-    Children[IDom.at(RPO[I])].push_back(RPO[I]);
+    Children[idom(RPO[I])->getNumber()].push_back(RPO[I]);
+
+  // DFS intervals over the tree.
+  unsigned Clock = 0;
+  std::vector<std::pair<const BasicBlock *, size_t>> Stack;
+  Stack.push_back({Entry, 0});
+  DFSIn[Entry->getNumber()] = Clock++;
+  while (!Stack.empty()) {
+    auto &[BB, Next] = Stack.back();
+    const std::vector<BasicBlock *> &Kids = Children[BB->getNumber()];
+    if (Next < Kids.size()) {
+      const BasicBlock *Kid = Kids[Next++];
+      DFSIn[Kid->getNumber()] = Clock++;
+      Stack.push_back({Kid, 0});
+      continue;
+    }
+    DFSOut[BB->getNumber()] = Clock++;
+    Stack.pop_back();
+  }
 }
 
-const std::vector<BasicBlock *> &
-DominatorTree::getChildren(const BasicBlock *BB) const {
-  auto It = Children.find(BB);
-  return It == Children.end() ? EmptyChildren : It->second;
-}
-
-std::set<BasicBlock *> DominatorTree::iteratedDominanceFrontier(
-    const std::set<BasicBlock *> &DefBlocks) {
-  std::set<BasicBlock *> Result;
-  std::vector<BasicBlock *> Worklist(DefBlocks.begin(), DefBlocks.end());
+std::vector<BasicBlock *> DominatorTree::iteratedDominanceFrontier(
+    const std::vector<BasicBlock *> &DefBlocks) {
+  if (IDFMark.empty())
+    IDFMark.assign(CFG.getNumBlockSlots(), 0);
+  ++IDFEpoch;
+  std::vector<BasicBlock *> Result;
+  std::vector<BasicBlock *> Worklist;
+  for (BasicBlock *BB : DefBlocks)
+    if (CFG.isReachable(BB))
+      Worklist.push_back(BB);
   while (!Worklist.empty()) {
     BasicBlock *BB = Worklist.back();
     Worklist.pop_back();
-    if (!CFG.isReachable(BB))
-      continue;
-    for (BasicBlock *FBlock : dominanceFrontier(BB))
-      if (Result.insert(FBlock).second)
-        Worklist.push_back(FBlock);
+    for (BasicBlock *FBlock : dominanceFrontier(BB)) {
+      unsigned &Mark = IDFMark[FBlock->getNumber()];
+      if (Mark == IDFEpoch)
+        continue;
+      Mark = IDFEpoch;
+      Result.push_back(FBlock);
+      Worklist.push_back(FBlock);
+    }
   }
+  std::sort(Result.begin(), Result.end(),
+            [&](const BasicBlock *X, const BasicBlock *Y) {
+              return CFG.rpoIndex(X) < CFG.rpoIndex(Y);
+            });
   return Result;
 }
 
 BasicBlock *DominatorTree::getIDom(const BasicBlock *BB) const {
-  auto It = IDom.find(BB);
-  if (It == IDom.end())
-    return nullptr;
+  BasicBlock *D = IDom[BB->getNumber()];
   // Entry's sentinel self-idom is reported as null.
-  return It->second == BB ? nullptr : It->second;
+  return D == BB ? nullptr : D;
 }
 
 bool DominatorTree::dominates(const BasicBlock *A,
@@ -92,22 +124,8 @@ bool DominatorTree::dominates(const BasicBlock *A,
     return true; // vacuous: nothing executes in B
   if (!CFG.isReachable(A))
     return false;
-  if (A == B)
-    return true;
-  const BasicBlock *Runner = B;
-  unsigned AIdx = RPOIndex.at(A);
-  while (true) {
-    auto It = IDom.find(Runner);
-    assert(It != IDom.end() && "reachable block missing from idom map");
-    if (It->second == Runner)
-      return false; // reached the entry without meeting A
-    Runner = It->second;
-    if (Runner == A)
-      return true;
-    // Dominators always have smaller RPO indices; early exit when passed.
-    if (RPOIndex.at(Runner) < AIdx)
-      return false;
-  }
+  unsigned ANum = A->getNumber(), BNum = B->getNumber();
+  return DFSIn[ANum] <= DFSIn[BNum] && DFSOut[BNum] <= DFSOut[ANum];
 }
 
 bool DominatorTree::dominates(const Instruction *Def,
@@ -125,14 +143,7 @@ bool DominatorTree::dominates(const Instruction *Def,
     return true;
   if (User->isPhi())
     return false;
-  for (const Instruction *I : *DefBB) {
-    if (I == Def)
-      return true;
-    if (I == User)
-      return false;
-  }
-  assert(false && "instructions not found in their own parent block");
-  return false;
+  return Def->comesBefore(User);
 }
 
 bool DominatorTree::dominatesBlockExit(const Instruction *Def,
@@ -143,29 +154,37 @@ bool DominatorTree::dominatesBlockExit(const Instruction *Def,
   return dominates(DefBB, BB);
 }
 
-const std::set<BasicBlock *> &
-DominatorTree::dominanceFrontier(const BasicBlock *BB) {
-  if (!FrontiersComputed) {
-    FrontiersComputed = true;
-    for (BasicBlock *B : CFG.reversePostOrder()) {
-      const std::vector<BasicBlock *> &Preds = CFG.predecessors(B);
-      if (Preds.size() < 2)
+void DominatorTree::computeFrontiers() {
+  FrontiersComputed = true;
+  Frontiers.assign(CFG.getNumBlockSlots(), {});
+  for (BasicBlock *B : CFG.reversePostOrder()) {
+    const std::vector<BasicBlock *> &Preds = CFG.predecessors(B);
+    unsigned Reachable = 0;
+    for (BasicBlock *P : Preds)
+      Reachable += CFG.isReachable(P);
+    if (Reachable < 2)
+      continue;
+    BasicBlock *Stop = getIDom(B);
+    for (BasicBlock *P : Preds) {
+      if (!CFG.isReachable(P))
         continue;
-      for (BasicBlock *P : Preds) {
-        BasicBlock *Runner = P;
-        BasicBlock *Stop = getIDom(B);
-        while (Runner && Runner != Stop) {
-          Frontiers[Runner].insert(B);
-          Runner = getIDom(Runner);
-        }
-        // The entry has a null idom; if Stop is null the walk above ends
-        // at the entry naturally (its getIDom is null).
-        if (!Stop && Runner == nullptr) {
-          // Walked past entry: nothing else to add.
-        }
+      // The entry has a null idom, so a walk that passes it ends there.
+      for (BasicBlock *Runner = P; Runner && Runner != Stop;
+           Runner = getIDom(Runner)) {
+        std::vector<BasicBlock *> &DF = Frontiers[Runner->getNumber()];
+        // B's entries are all added during this iteration over B, so a
+        // duplicate can only sit at the back.
+        if (!DF.empty() && DF.back() == B)
+          break; // an earlier predecessor's walk covered the rest
+        DF.push_back(B);
       }
     }
   }
-  auto It = Frontiers.find(BB);
-  return It == Frontiers.end() ? EmptyFrontier : It->second;
+}
+
+const std::vector<BasicBlock *> &
+DominatorTree::dominanceFrontier(const BasicBlock *BB) {
+  if (!FrontiersComputed)
+    computeFrontiers();
+  return Frontiers[BB->getNumber()];
 }

@@ -10,6 +10,10 @@
 /// verifier uses instruction-level dominance to check the SSA dominance
 /// property that SalSSA's code generator must restore (§4.3 of the paper).
 ///
+/// All tables are vectors indexed by block number (see analysis/CFG.h).
+/// Block dominance is O(1) through DFS intervals of the tree; same-block
+/// instruction dominance uses the IR's instruction ordinals.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SALSSA_ANALYSIS_DOMINATORS_H
@@ -42,31 +46,40 @@ public:
   bool dominatesBlockExit(const Instruction *Def,
                           const BasicBlock *BB) const;
 
-  /// Dominance frontier of \p BB (computed lazily on first query).
-  const std::set<BasicBlock *> &dominanceFrontier(const BasicBlock *BB);
+  /// Dominance frontier of \p BB in reverse post-order (all frontiers
+  /// are computed on the first query).
+  const std::vector<BasicBlock *> &dominanceFrontier(const BasicBlock *BB);
 
-  /// Children of \p BB in the dominator tree.
-  const std::vector<BasicBlock *> &getChildren(const BasicBlock *BB) const;
+  /// Children of \p BB in the dominator tree, in reverse post-order.
+  const std::vector<BasicBlock *> &getChildren(const BasicBlock *BB) const {
+    return Children[BB->getNumber()];
+  }
 
-  /// Iterated dominance frontier of \p DefBlocks — the phi placement set
-  /// of Cytron et al.'s SSA construction.
-  std::set<BasicBlock *>
-  iteratedDominanceFrontier(const std::set<BasicBlock *> &DefBlocks);
+  /// Iterated dominance frontier of \p DefBlocks, in reverse post-order —
+  /// the phi placement set of Cytron et al.'s SSA construction.
+  /// Unreachable definition blocks are ignored.
+  std::vector<BasicBlock *>
+  iteratedDominanceFrontier(const std::vector<BasicBlock *> &DefBlocks);
 
   const CFGInfo &getCFG() const { return CFG; }
 
 private:
-  unsigned rpoIndexOf(const BasicBlock *BB) const;
+  void computeFrontiers();
 
-  const Function &F;
   CFGInfo CFG;
-  std::map<const BasicBlock *, BasicBlock *> IDom;
-  std::map<const BasicBlock *, std::vector<BasicBlock *>> Children;
-  std::vector<BasicBlock *> EmptyChildren;
-  std::map<const BasicBlock *, unsigned> RPOIndex;
+  /// Indexed by block number. The entry is its own idom internally;
+  /// unreachable blocks have none.
+  std::vector<BasicBlock *> IDom;
+  std::vector<std::vector<BasicBlock *>> Children;
+  /// Pre-order entry/exit times of a DFS over the tree: A dominates B iff
+  /// B's interval nests in A's.
+  std::vector<unsigned> DFSIn, DFSOut;
   bool FrontiersComputed = false;
-  std::map<const BasicBlock *, std::set<BasicBlock *>> Frontiers;
-  std::set<BasicBlock *> EmptyFrontier;
+  std::vector<std::vector<BasicBlock *>> Frontiers;
+  /// Scratch marks for iteratedDominanceFrontier: a block is in the
+  /// current IDF when its mark equals IDFEpoch.
+  std::vector<unsigned> IDFMark;
+  unsigned IDFEpoch = 0;
 };
 
 } // namespace salssa

@@ -48,23 +48,6 @@ std::vector<BasicBlock *> BasicBlock::successors() const {
   return T->successors();
 }
 
-std::vector<BasicBlock *> BasicBlock::predecessors() const {
-  std::vector<BasicBlock *> Preds;
-  if (!Parent)
-    return Preds;
-  for (BasicBlock *BB : *Parent) {
-    Instruction *T = BB->getTerminator();
-    if (!T)
-      continue;
-    for (BasicBlock *Succ : T->successors())
-      if (Succ == this) {
-        Preds.push_back(BB);
-        break; // unique blocks, not edges
-      }
-  }
-  return Preds;
-}
-
 bool BasicBlock::isLandingBlock() const {
   Instruction *First = getFirstNonPhi();
   return First && isa<LandingPadInst>(First);
@@ -72,17 +55,32 @@ bool BasicBlock::isLandingBlock() const {
 
 void BasicBlock::push_back(Instruction *I) {
   assert(!I->getParent() && "instruction already linked");
+  // Appending keeps the ordinals increasing.
+  if (InstOrderValid)
+    I->Order = Insts.empty() ? 0 : Insts.back()->Order + 1;
   Insts.push_back(I);
   I->SelfIt = std::prev(Insts.end());
   I->Parent = this;
 }
 
 BasicBlock::iterator BasicBlock::insert(iterator Pos, Instruction *I) {
+  if (Pos == Insts.end()) {
+    push_back(I);
+    return I->SelfIt;
+  }
   assert(!I->getParent() && "instruction already linked");
+  InstOrderValid = false;
   auto It = Insts.insert(Pos, I);
   I->SelfIt = It;
   I->Parent = this;
   return It;
+}
+
+void BasicBlock::renumberInstructions() const {
+  unsigned N = 0;
+  for (Instruction *I : Insts)
+    I->Order = N++;
+  InstOrderValid = true;
 }
 
 void BasicBlock::removeFromParent() {

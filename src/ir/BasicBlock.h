@@ -6,9 +6,11 @@
 ///
 /// \file
 /// A basic block: a label plus an ordered list of instructions ending in a
-/// terminator. Blocks own their instructions. Predecessor queries are
-/// served by the analysis layer (CFGInfo) — blocks do not keep incremental
-/// predecessor lists that could drift out of sync during CFG surgery.
+/// terminator. Blocks own their instructions. Each block carries a number,
+/// unique within its function, that indexes the dense analysis tables
+/// (analysis/CFG.h, analysis/Dominators.h). Predecessor lists are not kept
+/// in the block: they are served by a snapshot (PredecessorMap) that the
+/// passes editing the CFG update locally.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +41,12 @@ public:
 
   Function *getParent() const { return Parent; }
 
+  /// Index of this block in its function's dense numbering: unique among
+  /// the function's blocks and below Function::getMaxBlockNumber().
+  /// Assigned when the block is linked; Function::renumberBlocks()
+  /// compacts it to the block's list position.
+  unsigned getNumber() const { return Number; }
+
   /// \name Instruction list.
   /// @{
   iterator begin() { return Insts.begin(); }
@@ -68,10 +76,6 @@ public:
   /// Successor blocks, taken from the terminator (empty when
   /// unterminated).
   std::vector<BasicBlock *> successors() const;
-
-  /// Predecessors computed by scanning the parent function — O(E); use
-  /// analysis::CFGInfo in hot paths.
-  std::vector<BasicBlock *> predecessors() const;
 
   /// True when this block starts (after phis) with a landingpad.
   bool isLandingBlock() const;
@@ -105,10 +109,18 @@ private:
   friend class Function;
   friend class Instruction;
 
+  /// Renumbers the instructions' ordinals in list order (see
+  /// Instruction::comesBefore).
+  void renumberInstructions() const;
+
   std::string Name;
   Function *Parent = nullptr;
+  unsigned Number = 0;
   std::list<BasicBlock *>::iterator SelfIt;
   InstListTy Insts;
+  /// True while every instruction's Order increases along the list.
+  /// Inserting in the middle clears it; removal keeps it.
+  mutable bool InstOrderValid = false;
 };
 
 } // namespace salssa

@@ -27,6 +27,7 @@ BasicBlock *Function::createBlock(const std::string &Name,
                                   BasicBlock *Before) {
   auto *BB = new BasicBlock(Name);
   BB->Parent = this;
+  BB->Number = NextBlockNumber++;
   if (Before) {
     assert(Before->getParent() == this && "insertion point in wrong function");
     BB->SelfIt = Blocks.insert(Before->SelfIt, BB);
@@ -40,8 +41,15 @@ BasicBlock *Function::createBlock(const std::string &Name,
 void Function::adoptBlock(BasicBlock *BB) {
   assert(!BB->getParent() && "block already linked");
   BB->Parent = this;
+  BB->Number = NextBlockNumber++;
   Blocks.push_back(BB);
   BB->SelfIt = std::prev(Blocks.end());
+}
+
+void Function::renumberBlocks() {
+  NextBlockNumber = 0;
+  for (BasicBlock *BB : Blocks)
+    BB->Number = NextBlockNumber++;
 }
 
 size_t Function::getInstructionCount() const {
@@ -61,4 +69,5 @@ void Function::clearBody() {
     delete BB;
   }
   Blocks.clear();
+  NextBlockNumber = 0;
 }

@@ -82,6 +82,17 @@ public:
   const BlockListTy &blocks() const { return Blocks; }
   /// @}
 
+  /// \name Dense block numbering.
+  /// Every linked block has a number below getMaxBlockNumber(), unique in
+  /// this function; analyses size their tables by it. Erasing a block
+  /// leaves a hole until renumberBlocks() compacts the numbers to list
+  /// positions. Renumbering invalidates every analysis built on the
+  /// function, so only passes that own all their analyses call it.
+  /// @{
+  unsigned getMaxBlockNumber() const { return NextBlockNumber; }
+  void renumberBlocks();
+  /// @}
+
   /// Creates a block appended at the end (or before \p Before if given)
   /// and returns it.
   BasicBlock *createBlock(const std::string &Name = "",
@@ -112,6 +123,7 @@ private:
   Module *Parent;
   std::vector<std::unique_ptr<Argument>> Args;
   BlockListTy Blocks;
+  unsigned NextBlockNumber = 0;
 };
 
 } // namespace salssa

@@ -36,9 +36,7 @@ void Instruction::eraseFromParent() {
 void Instruction::insertBefore(Instruction *Pos) {
   assert(!Parent && "instruction already linked");
   assert(Pos->Parent && "insertion point is not linked");
-  BasicBlock *BB = Pos->Parent;
-  SelfIt = BB->Insts.insert(Pos->SelfIt, this);
-  Parent = BB;
+  Pos->Parent->insert(Pos->SelfIt, this);
 }
 
 void Instruction::insertAtEnd(BasicBlock *BB) {
@@ -49,6 +47,20 @@ void Instruction::insertAtEnd(BasicBlock *BB) {
 void Instruction::moveBefore(Instruction *Pos) {
   removeFromParent();
   insertBefore(Pos);
+}
+
+Instruction *Instruction::getNextNode() const {
+  assert(Parent && "instruction is not linked");
+  auto Next = std::next(SelfIt);
+  return Next == Parent->end() ? nullptr : *Next;
+}
+
+bool Instruction::comesBefore(const Instruction *Other) const {
+  assert(Parent && Parent == Other->Parent &&
+         "comesBefore needs two instructions of one block");
+  if (!Parent->InstOrderValid)
+    Parent->renumberInstructions();
+  return Order < Other->Order;
 }
 
 void BinaryOperator::swapOperands() {

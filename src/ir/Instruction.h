@@ -12,8 +12,7 @@
 /// phi-nodes, and the terminators (br/switch/ret/resume/unreachable).
 ///
 /// Successor edges are held directly on terminator instructions;
-/// predecessors are computed on demand by the analysis layer (no
-/// incremental bookkeeping to get out of sync).
+/// predecessor lists come from the analysis layer (analysis/CFG.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,6 +139,12 @@ public:
   void insertAtEnd(BasicBlock *BB);
   /// Moves an already-linked instruction before \p Pos.
   void moveBefore(Instruction *Pos);
+  /// True when this instruction precedes \p Other in their (common)
+  /// block. Amortized O(1): compares per-block ordinals, renumbering the
+  /// block first when an insertion has invalidated them.
+  bool comesBefore(const Instruction *Other) const;
+  /// The next instruction of the parent block, or null for the last.
+  Instruction *getNextNode() const;
   /// @}
 
   static bool classof(const Value *V) {
@@ -157,6 +162,9 @@ private:
   BasicBlock *Parent = nullptr;
   std::list<Instruction *>::iterator SelfIt;
   std::vector<BasicBlock *> Successors;
+  /// Position ordinal within the parent block; meaningful only while the
+  /// block's InstOrderValid is set.
+  mutable unsigned Order = 0;
 };
 
 //===----------------------------------------------------------------------===//

@@ -10,6 +10,7 @@
 #include "ir/Module.h"
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 
 using namespace salssa;
@@ -145,6 +146,9 @@ private:
 
   void checkPhisAndLandingPads() {
     CFGInfo CFG(F);
+    std::vector<unsigned> PredMark(CFG.getNumBlockSlots(), 0);
+    std::vector<unsigned> InMark(CFG.getNumBlockSlots(), 0);
+    unsigned Epoch = 0;
     for (const BasicBlock *BB : F) {
       bool SeenNonPhi = false;
       for (const Instruction *I : *BB) {
@@ -155,21 +159,31 @@ private:
       }
       // Phi incoming blocks must exactly match the predecessor set — over
       // *all* edges, including ones from unreachable blocks (as in LLVM).
-      std::set<const BasicBlock *> PredSet;
-      for (BasicBlock *P : BB->predecessors())
-        PredSet.insert(P);
+      // Marks over block numbers: a predecessor of BB carries PredEpoch,
+      // an incoming block of the current phi carries the phi's epoch.
+      const std::vector<BasicBlock *> &Preds = CFG.predecessors(BB);
+      unsigned PredEpoch = ++Epoch;
+      for (const BasicBlock *Pred : Preds)
+        PredMark[Pred->getNumber()] = PredEpoch;
       for (const PhiInst *P : BB->phis()) {
-        std::set<const BasicBlock *> Incoming;
+        unsigned PhiEpoch = ++Epoch;
         for (unsigned I = 0; I < P->getNumIncoming(); ++I) {
           const BasicBlock *In = P->getIncomingBlock(I);
-          if (!Incoming.insert(In).second)
+          if (In->getParent() != &F) {
+            errorAt(P, "incoming block '" + In->getName() +
+                           "' is not a predecessor");
+            continue;
+          }
+          unsigned &Seen = InMark[In->getNumber()];
+          if (Seen == PhiEpoch)
             errorAt(P, "duplicate incoming block");
-          if (!PredSet.count(In))
+          Seen = PhiEpoch;
+          if (PredMark[In->getNumber()] != PredEpoch)
             errorAt(P, "incoming block '" + In->getName() +
                            "' is not a predecessor");
         }
-        for (const BasicBlock *Pred : PredSet)
-          if (!Incoming.count(Pred))
+        for (const BasicBlock *Pred : Preds)
+          if (InMark[Pred->getNumber()] != PhiEpoch)
             errorAt(P, "missing incoming entry for predecessor '" +
                            Pred->getName() + "'");
       }
@@ -179,7 +193,9 @@ private:
       // edges; landingpad must be the first non-phi.
       bool HasUnwindPred = false;
       bool HasNormalPred = false;
-      for (BasicBlock *Pred : CFG.predecessors(BB)) {
+      for (BasicBlock *Pred : Preds) {
+        if (!CFG.isReachable(Pred))
+          continue;
         const Instruction *T = Pred->getTerminator();
         if (const auto *Inv = dyn_cast<InvokeInst>(T)) {
           if (Inv->getUnwindDest() == BB)
@@ -198,7 +214,7 @@ private:
       if (IsLanding && HasNormalPred)
         error("landing block '" + BB->getName() +
               "' reachable through a normal edge");
-      if (IsLanding && !HasUnwindPred && !PredSet.empty())
+      if (IsLanding && !HasUnwindPred && !Preds.empty())
         error("landing block '" + BB->getName() + "' has no unwind edge");
       // Only one landingpad per block, and only at the head.
       for (const Instruction *I : *BB)

@@ -11,6 +11,7 @@
 #include "transforms/Mem2Reg.h"
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 
 using namespace salssa;
 
@@ -22,7 +23,7 @@ namespace {
 std::vector<Instruction *> findViolatingDefs(Function &F) {
   DominatorTree DT(F);
   const CFGInfo &CFG = DT.getCFG();
-  std::set<Instruction *> Seen;
+  std::unordered_set<Instruction *> Seen;
   std::vector<Instruction *> Defs;
   auto Record = [&](Instruction *D) {
     if (Seen.insert(D).second)
@@ -77,9 +78,7 @@ void storeDefToSlot(Instruction *Def, AllocaInst *Slot, Context &Ctx) {
     B.setInsertPoint(FirstNonPhi);
   } else {
     assert(!Def->isTerminator() && "value-producing terminator is invoke");
-    auto Next = std::next(
-        std::find(Def->getParent()->begin(), Def->getParent()->end(), Def));
-    B.setInsertPoint(*Next);
+    B.setInsertPoint(Def->getNextNode());
   }
   B.createStore(Def, Slot);
 }

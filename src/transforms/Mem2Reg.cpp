@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "transforms/Mem2Reg.h"
-#include <algorithm>
 #include "analysis/Dominators.h"
 #include "ir/Context.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
-#include <map>
+#include <algorithm>
+#include <unordered_map>
 
 using namespace salssa;
 
@@ -48,9 +48,11 @@ class PromotionDriver {
 public:
   PromotionDriver(Function &F, Context &Ctx,
                   const std::vector<AllocaInst *> &Allocas)
-      : F(F), Ctx(Ctx), Allocas(Allocas), DT(F) {}
+      : F(F), Ctx(Ctx), Allocas(Allocas), DT(F),
+        PlacedPhis(DT.getCFG().getNumBlockSlots()) {}
 
   Mem2RegStats run() {
+    SlotIndex.reserve(Allocas.size());
     for (unsigned I = 0; I < Allocas.size(); ++I) {
       assert(isPromotableAlloca(Allocas[I]) && "alloca is not promotable");
       SlotIndex[Allocas[I]] = I;
@@ -62,87 +64,88 @@ public:
   }
 
 private:
+  /// The promoted slot \p Ptr names, or -1.
+  int slotOf(Value *Ptr) const {
+    auto *A = dyn_cast<AllocaInst>(Ptr);
+    if (!A)
+      return -1;
+    auto It = SlotIndex.find(A);
+    return It == SlotIndex.end() ? -1 : static_cast<int>(It->second);
+  }
+
   void placePhis() {
-    PhiSlot.clear();
-    // Deterministic block ordering (RPO position) for phi placement; the
-    // raw IDF set iterates in pointer order.
-    std::map<const BasicBlock *, unsigned> RPOIndex;
-    {
-      unsigned Idx = 0;
-      for (BasicBlock *BB : DT.getCFG().reversePostOrder())
-        RPOIndex[BB] = Idx++;
+    // One sweep over the function finds, per slot, the blocks that store
+    // to it and the blocks whose first access to it is a load (they read
+    // the value live on entry).
+    size_t N = Allocas.size();
+    const unsigned NoBlock = ~0u;
+    std::vector<std::vector<BasicBlock *>> DefBlocks(N), UseBeforeDef(N);
+    std::vector<unsigned> LastAccessBlock(N, NoBlock), LastDefBlock(N, NoBlock);
+    for (BasicBlock *BB : F) {
+      unsigned Num = BB->getNumber();
+      for (Instruction *I : *BB) {
+        bool IsLoad = isa<LoadInst>(I);
+        if (!IsLoad && !isa<StoreInst>(I))
+          continue;
+        int Slot = slotOf(IsLoad ? cast<LoadInst>(I)->getPointerOperand()
+                                 : cast<StoreInst>(I)->getPointerOperand());
+        if (Slot < 0)
+          continue;
+        if (LastAccessBlock[Slot] != Num) {
+          LastAccessBlock[Slot] = Num;
+          if (IsLoad)
+            UseBeforeDef[Slot].push_back(BB);
+        }
+        if (!IsLoad && LastDefBlock[Slot] != Num) {
+          LastDefBlock[Slot] = Num;
+          DefBlocks[Slot].push_back(BB);
+        }
+      }
     }
-    for (AllocaInst *A : Allocas) {
-      std::set<BasicBlock *> DefBlocks;
-      for (User *U : A->users())
-        if (auto *S = dyn_cast<StoreInst>(U))
-          DefBlocks.insert(S->getParent());
-      std::set<BasicBlock *> LiveIn = computeLiveInBlocks(A);
-      std::set<BasicBlock *> IDF = DT.iteratedDominanceFrontier(DefBlocks);
-      std::vector<BasicBlock *> Ordered;
-      for (BasicBlock *BB : IDF)
-        if (LiveIn.count(BB)) // pruned SSA: no phi where the slot is dead
-          Ordered.push_back(BB);
-      std::sort(Ordered.begin(), Ordered.end(),
-                [&](BasicBlock *X, BasicBlock *Y) {
-                  return RPOIndex.at(X) < RPOIndex.at(Y);
-                });
-      for (BasicBlock *BB : Ordered) {
+
+    // Stamps over block numbers, one epoch per slot: a block stores to
+    // the current slot when HasStore == epoch, and the slot is live on
+    // entry to it when LiveIn == epoch.
+    const CFGInfo &CFG = DT.getCFG();
+    std::vector<unsigned> HasStore(CFG.getNumBlockSlots(), 0);
+    std::vector<unsigned> LiveIn(CFG.getNumBlockSlots(), 0);
+    std::vector<BasicBlock *> Worklist;
+    for (unsigned Slot = 0; Slot < N; ++Slot) {
+      unsigned Epoch = Slot + 1;
+      for (BasicBlock *BB : DefBlocks[Slot])
+        HasStore[BB->getNumber()] = Epoch;
+      // Pruned SSA (LLVM's mem2reg): the slot is live into blocks that
+      // load before storing, closed backwards through reachable
+      // store-free blocks.
+      for (BasicBlock *BB : UseBeforeDef[Slot])
+        LiveIn[BB->getNumber()] = Epoch;
+      Worklist = UseBeforeDef[Slot];
+      while (!Worklist.empty()) {
+        BasicBlock *BB = Worklist.back();
+        Worklist.pop_back();
+        for (BasicBlock *Pred : CFG.predecessors(BB)) {
+          unsigned P = Pred->getNumber();
+          if (!CFG.isReachable(Pred) || HasStore[P] == Epoch ||
+              LiveIn[P] == Epoch)
+            continue; // a store screens off entry liveness
+          LiveIn[P] = Epoch;
+          Worklist.push_back(Pred);
+        }
+      }
+
+      AllocaInst *A = Allocas[Slot];
+      // In reverse post-order; no phi where the slot is dead.
+      for (BasicBlock *BB : DT.iteratedDominanceFrontier(DefBlocks[Slot])) {
+        if (LiveIn[BB->getNumber()] != Epoch)
+          continue;
         // One phi per (slot, block).
         auto *P = new PhiInst(A->getAllocatedType());
         P->setName(A->hasName() ? A->getName() + ".phi" : "m2r.phi");
         BB->insert(BB->begin(), P);
-        PhiSlot[P] = SlotIndex.at(A);
+        PlacedPhis[BB->getNumber()].push_back({P, Slot});
         ++Stats.PhisInserted;
       }
     }
-  }
-
-  /// Blocks at whose entry the slot's value may still be read (the
-  /// pruning set of LLVM's mem2reg): blocks that load before any store,
-  /// closed backwards through store-free blocks.
-  std::set<BasicBlock *> computeLiveInBlocks(AllocaInst *A) {
-    std::set<BasicBlock *> UseBeforeDef;
-    std::set<BasicBlock *> HasStore;
-    for (User *U : A->users())
-      if (auto *S = dyn_cast<StoreInst>(U))
-        HasStore.insert(S->getParent());
-    for (User *U : A->users()) {
-      auto *L = dyn_cast<LoadInst>(U);
-      if (!L)
-        continue;
-      BasicBlock *BB = L->getParent();
-      if (!HasStore.count(BB)) {
-        UseBeforeDef.insert(BB);
-        continue;
-      }
-      // Mixed block: does a load come first?
-      for (Instruction *I : *BB) {
-        if (auto *St = dyn_cast<StoreInst>(I);
-            St && St->getPointerOperand() == A)
-          break;
-        if (auto *Ld = dyn_cast<LoadInst>(I);
-            Ld && Ld->getPointerOperand() == A) {
-          UseBeforeDef.insert(BB);
-          break;
-        }
-      }
-    }
-    // Backward closure through store-free blocks.
-    std::set<BasicBlock *> LiveIn = UseBeforeDef;
-    std::vector<BasicBlock *> Worklist(UseBeforeDef.begin(),
-                                       UseBeforeDef.end());
-    while (!Worklist.empty()) {
-      BasicBlock *BB = Worklist.back();
-      Worklist.pop_back();
-      for (BasicBlock *Pred : DT.getCFG().predecessors(BB)) {
-        if (HasStore.count(Pred))
-          continue; // the store screens off entry liveness
-        if (LiveIn.insert(Pred).second)
-          Worklist.push_back(Pred);
-      }
-    }
-    return LiveIn;
   }
 
   Value *undefFor(AllocaInst *A) {
@@ -151,78 +154,81 @@ private:
   }
 
   void renameFromEntry() {
-    // Iterative DFS over the dominator tree carrying per-slot value stacks.
+    // Iterative DFS over the CFG that renames each block once, on first
+    // visit, with the slot values live out of the block that queued it.
+    // Any value live into a block along a non-dominating path goes through
+    // a placed phi, which resets the slot, so the first visit sees the
+    // dominating definitions. The visit order fixes the order of phi
+    // incoming entries.
+    //
+    // The current values live in one vector. Every write is logged with
+    // the value it overwrote, and a queued block remembers the log length
+    // at its predecessor's exit: rolling the log back to it restores
+    // exactly that exit state. Frames are popped in stack order, so the
+    // rollback never has to reach below a frame still queued.
     size_t N = Allocas.size();
-    std::vector<Value *> Incoming(N, nullptr);
+    std::vector<Value *> Cur(N);
     for (unsigned I = 0; I < N; ++I)
-      Incoming[I] = undefFor(Allocas[I]);
+      Cur[I] = undefFor(Allocas[I]);
+    std::vector<std::pair<unsigned, Value *>> Log;
+    auto Set = [&](unsigned Slot, Value *V) {
+      Log.push_back({Slot, Cur[Slot]});
+      Cur[Slot] = V;
+    };
 
     struct Frame {
       BasicBlock *BB;
-      std::vector<Value *> Values; // live definition per slot on entry
+      size_t LogSize; ///< log length at the queuing block's exit
     };
     std::vector<Frame> Worklist;
-    Worklist.push_back({F.getEntryBlock(), std::move(Incoming)});
-    std::set<BasicBlock *> Visited;
+    Worklist.push_back({F.getEntryBlock(), 0});
+    std::vector<bool> Visited(DT.getCFG().getNumBlockSlots(), false);
 
     while (!Worklist.empty()) {
-      Frame Fr = std::move(Worklist.back());
+      Frame Fr = Worklist.back();
       Worklist.pop_back();
-      if (!Visited.insert(Fr.BB).second)
-        continue;
       BasicBlock *BB = Fr.BB;
-      std::vector<Value *> &Cur = Fr.Values;
+      if (Visited[BB->getNumber()])
+        continue;
+      Visited[BB->getNumber()] = true;
+      for (; Log.size() > Fr.LogSize; Log.pop_back())
+        Cur[Log.back().first] = Log.back().second;
 
+      for (auto &[P, Slot] : PlacedPhis[BB->getNumber()])
+        Set(Slot, P);
       for (auto It = BB->begin(); It != BB->end();) {
         Instruction *I = *It++;
-        if (auto *P = dyn_cast<PhiInst>(I)) {
-          auto PhiIt = PhiSlot.find(P);
-          if (PhiIt != PhiSlot.end())
-            Cur[PhiIt->second] = P;
-          continue;
-        }
         if (auto *L = dyn_cast<LoadInst>(I)) {
-          auto SIt = SlotIndex.find(
-              dyn_cast<AllocaInst>(L->getPointerOperand()));
-          if (SIt != SlotIndex.end()) {
-            L->replaceAllUsesWith(Cur[SIt->second]);
+          int Slot = slotOf(L->getPointerOperand());
+          if (Slot >= 0) {
+            L->replaceAllUsesWith(Cur[Slot]);
             L->eraseFromParent();
             ++Stats.LoadsRemoved;
           }
-          continue;
-        }
-        if (auto *S = dyn_cast<StoreInst>(I)) {
-          auto SIt = SlotIndex.find(
-              dyn_cast<AllocaInst>(S->getPointerOperand()));
-          if (SIt != SlotIndex.end()) {
-            Cur[SIt->second] = S->getValueOperand();
+        } else if (auto *S = dyn_cast<StoreInst>(I)) {
+          int Slot = slotOf(S->getPointerOperand());
+          if (Slot >= 0) {
+            Set(Slot, S->getValueOperand());
             S->eraseFromParent();
             ++Stats.StoresRemoved;
           }
-          continue;
         }
       }
 
-      // Feed successors' slot-phis and queue dominator-tree children with
-      // the current values. Successor phi feeding must happen per CFG
-      // edge; value propagation per dominator tree. Using CFG successors
-      // for phis and re-queuing via CFG is the classic approach: a
-      // successor's non-phi code is renamed when visited with the values
-      // that dominate it, which is exactly the state carried along the
-      // dominator tree. We approximate by propagating over the CFG but
-      // only renaming at first visit — correct because any value live into
-      // a block from a non-dominating path must go through a placed phi,
-      // which resets Cur for that slot.
-      for (BasicBlock *Succ : BB->successors()) {
-        for (PhiInst *P : Succ->phis()) {
-          auto PhiIt = PhiSlot.find(P);
-          if (PhiIt == PhiSlot.end())
-            continue;
-          if (P->indexOfBlock(BB) < 0)
-            P->addIncoming(Cur[PhiIt->second], BB);
-        }
-        if (!Visited.count(Succ))
-          Worklist.push_back({Succ, Cur});
+      // Feed each successor's slot phis once per predecessor (a repeated
+      // edge adds no second entry) and queue the unvisited successors.
+      Instruction *T = BB->getTerminator();
+      if (!T)
+        continue;
+      const std::vector<BasicBlock *> &Succs = T->successors();
+      for (size_t K = 0; K < Succs.size(); ++K) {
+        BasicBlock *Succ = Succs[K];
+        if (std::find(Succs.begin(), Succs.begin() + K, Succ) ==
+            Succs.begin() + K)
+          for (auto &[P, Slot] : PlacedPhis[Succ->getNumber()])
+            P->addIncoming(Cur[Slot], BB);
+        if (!Visited[Succ->getNumber()])
+          Worklist.push_back({Succ, Log.size()});
       }
     }
   }
@@ -230,13 +236,21 @@ private:
   void cleanup() {
     // Edges from unreachable blocks are never walked by renaming, so their
     // phi entries are missing; fill them with undef (they can never
-    // execute), then drop the now-unused allocas.
-    for (auto &[P, Slot] : PhiSlot) {
-      (void)Slot;
-      for (BasicBlock *Pred : P->getParent()->predecessors())
-        if (P->indexOfBlock(Pred) < 0)
-          P->addIncoming(Ctx.getUndef(P->getType()), Pred);
-    }
+    // execute), then drop the now-unused allocas. Renaming left the CFG
+    // alone, so the dominator tree's predecessor lists still hold.
+    const CFGInfo &CFG = DT.getCFG();
+    std::vector<unsigned> HasEntry(CFG.getNumBlockSlots(), 0);
+    unsigned Epoch = 0;
+    for (const std::vector<std::pair<PhiInst *, unsigned>> &Phis : PlacedPhis)
+      for (const auto &[P, Slot] : Phis) {
+        (void)Slot;
+        ++Epoch;
+        for (unsigned K = 0; K < P->getNumIncoming(); ++K)
+          HasEntry[P->getIncomingBlock(K)->getNumber()] = Epoch;
+        for (BasicBlock *Pred : CFG.predecessors(P->getParent()))
+          if (HasEntry[Pred->getNumber()] != Epoch)
+            P->addIncoming(Ctx.getUndef(P->getType()), Pred);
+      }
     for (AllocaInst *A : Allocas) {
       // Loads/stores in unreachable code are never renamed; dissolve them
       // (dead code, any value will do).
@@ -260,8 +274,9 @@ private:
   Context &Ctx;
   std::vector<AllocaInst *> Allocas;
   DominatorTree DT;
-  std::map<const AllocaInst *, unsigned> SlotIndex;
-  std::map<PhiInst *, unsigned> PhiSlot;
+  std::unordered_map<const AllocaInst *, unsigned> SlotIndex;
+  /// Phis placed per block number, with their slots.
+  std::vector<std::vector<std::pair<PhiInst *, unsigned>>> PlacedPhis;
   Mem2RegStats Stats;
 };
 
@@ -271,6 +286,8 @@ Mem2RegStats salssa::promoteAllocas(Function &F, Context &Ctx,
                                     const std::vector<AllocaInst *> &Allocas) {
   if (Allocas.empty())
     return {};
+  // Compact the block numbers the driver's tables are indexed by.
+  F.renumberBlocks();
   return PromotionDriver(F, Ctx, Allocas).run();
 }
 

@@ -10,6 +10,10 @@
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include <algorithm>
+#include <optional>
+#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace salssa;
 
@@ -253,17 +257,17 @@ Value *salssa::simplifyInstructionValue(Instruction *I, Context &Ctx) {
 unsigned salssa::removeUnreachableBlocks(Function &F) {
   if (F.isDeclaration())
     return 0;
-  std::set<const BasicBlock *> Reachable = reachableBlocks(F);
+  CFGInfo CFG(F);
+  if (CFG.getNumReachableBlocks() == F.getNumBlocks())
+    return 0;
   std::vector<BasicBlock *> Dead;
   for (BasicBlock *BB : F)
-    if (!Reachable.count(BB))
+    if (!CFG.isReachable(BB))
       Dead.push_back(BB);
-  if (Dead.empty())
-    return 0;
   // Remove phi entries in surviving blocks that came from dead edges.
   for (BasicBlock *BB : Dead)
     for (BasicBlock *Succ : BB->successors())
-      if (Reachable.count(Succ))
+      if (CFG.isReachable(Succ))
         Succ->removePredecessorEntries(BB);
   // Sever all cross references, then delete.
   for (BasicBlock *BB : Dead)
@@ -274,46 +278,60 @@ unsigned salssa::removeUnreachableBlocks(Function &F) {
 }
 
 unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
+  auto IsDead = [&](const Instruction *I) {
+    return I->isSideEffectFree() && !I->hasUses() &&
+           !(PreserveTraps && I->mayTrap());
+  };
+  // Worklist DCE: erasing an instruction can only kill its operands, so
+  // only they are re-examined. An instruction loses its last use once,
+  // hence enters the worklist at most once. Erasure never makes another
+  // dead instruction live, so the erased set is the one any sweep order
+  // reaches.
+  std::vector<Instruction *> Worklist;
+  for (BasicBlock *BB : F)
+    for (Instruction *I : *BB)
+      if (IsDead(I))
+        Worklist.push_back(I);
   unsigned Removed = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BasicBlock *BB : F) {
-      for (auto It = BB->begin(); It != BB->end();) {
-        Instruction *I = *It++;
-        if (I->isSideEffectFree() && !I->hasUses() &&
-            !(PreserveTraps && I->mayTrap())) {
-          I->eraseFromParent();
-          ++Removed;
-          Changed = true;
-        }
-      }
-    }
+  std::vector<Instruction *> Ops;
+  while (!Worklist.empty()) {
+    Instruction *I = Worklist.back();
+    Worklist.pop_back();
+    Ops.clear();
+    for (Value *Op : I->operands())
+      if (auto *OpI = dyn_cast_or_null<Instruction>(Op))
+        if (std::find(Ops.begin(), Ops.end(), OpI) == Ops.end())
+          Ops.push_back(OpI);
+    I->eraseFromParent();
+    ++Removed;
+    for (Instruction *OpI : Ops)
+      if (IsDead(OpI))
+        Worklist.push_back(OpI);
   }
 
   // Dead phi webs: phis that only feed each other never reach the simple
   // no-uses test above. Keep the phis transitively reachable (through use
   // edges) from non-phi users; drop the rest as a group.
   std::vector<PhiInst *> AllPhis;
-  std::set<PhiInst *> Live;
-  std::vector<PhiInst *> Worklist;
+  std::unordered_set<PhiInst *> Live;
+  std::vector<PhiInst *> PhiWorklist;
   for (BasicBlock *BB : F)
     for (PhiInst *P : BB->phis()) {
       AllPhis.push_back(P);
       for (const User *U : P->users())
         if (!isa<PhiInst>(U)) {
           if (Live.insert(P).second)
-            Worklist.push_back(P);
+            PhiWorklist.push_back(P);
           break;
         }
     }
-  while (!Worklist.empty()) {
-    PhiInst *P = Worklist.back();
-    Worklist.pop_back();
+  while (!PhiWorklist.empty()) {
+    PhiInst *P = PhiWorklist.back();
+    PhiWorklist.pop_back();
     for (unsigned K = 0; K < P->getNumIncoming(); ++K)
       if (auto *In = dyn_cast<PhiInst>(P->getIncomingValue(K)))
         if (Live.insert(In).second)
-          Worklist.push_back(In);
+          PhiWorklist.push_back(In);
   }
   std::vector<PhiInst *> Dead;
   for (PhiInst *P : AllPhis)
@@ -395,18 +413,19 @@ bool foldBranches(Function &F, Context &Ctx, SimplifyStats &Stats) {
 }
 
 /// Merges \p BB into its unique predecessor when the predecessor
-/// unconditionally branches to it and has no other successors.
+/// unconditionally branches to it and has no other successors. Keeps
+/// \p Preds exact.
 bool mergeBlocksIntoPredecessors(Function &F, Context &Ctx,
-                                 SimplifyStats &Stats) {
+                                 SimplifyStats &Stats, PredecessorMap &Preds) {
   bool Changed = false;
   for (auto It = F.begin(); It != F.end();) {
     BasicBlock *BB = *It++;
     if (BB == F.getEntryBlock())
       continue;
-    std::vector<BasicBlock *> Preds = BB->predecessors();
-    if (Preds.size() != 1)
+    const std::vector<BasicBlock *> &BBPreds = Preds.predecessors(BB);
+    if (BBPreds.size() != 1)
       continue;
-    BasicBlock *Pred = Preds.front();
+    BasicBlock *Pred = BBPreds.front();
     if (Pred == BB)
       continue;
     auto *Br = dyn_cast_or_null<BranchInst>(Pred->getTerminator());
@@ -430,9 +449,14 @@ bool mergeBlocksIntoPredecessors(Function &F, Context &Ctx,
       I->removeFromParent();
       I->insertAtEnd(Pred);
     }
-    // Successor phis now flow from Pred.
-    for (BasicBlock *Succ : Pred->successors())
+    // Successor phis now flow from Pred, and so do the edges: Pred had no
+    // edge to them before (its only successor was BB).
+    for (BasicBlock *Succ : Pred->successors()) {
       Succ->replacePhiUsesWith(BB, Pred);
+      Preds.removeEdge(BB, Succ);
+      Preds.addEdge(Pred, Succ);
+    }
+    Preds.clear(BB);
     BB->eraseFromParent();
     ++Stats.BlocksRemoved;
     Changed = true;
@@ -442,8 +466,10 @@ bool mergeBlocksIntoPredecessors(Function &F, Context &Ctx,
 
 /// Removes blocks that contain only an unconditional branch by rerouting
 /// their predecessors directly to the destination (LLVM's
-/// TryToSimplifyUncondBranchFromEmptyBlock, conservative variant).
-bool threadTrivialBlocks(Function &F, SimplifyStats &Stats) {
+/// TryToSimplifyUncondBranchFromEmptyBlock, conservative variant). Keeps
+/// \p Preds exact.
+bool threadTrivialBlocks(Function &F, SimplifyStats &Stats,
+                         PredecessorMap &Preds) {
   bool Changed = false;
   for (auto It = F.begin(); It != F.end();) {
     BasicBlock *BB = *It++;
@@ -457,14 +483,14 @@ bool threadTrivialBlocks(Function &F, SimplifyStats &Stats) {
     BasicBlock *Dest = Br->getTrueDest();
     if (Dest == BB)
       continue;
-    std::vector<BasicBlock *> Preds = BB->predecessors();
-    if (Preds.empty())
+    const std::vector<BasicBlock *> &BBPreds = Preds.predecessors(BB);
+    if (BBPreds.empty())
       continue; // unreachable; left to removeUnreachableBlocks
     // Phi-consistency precondition: a pred that already reaches Dest must
     // agree on every phi value.
     bool Safe = true;
     std::vector<PhiInst *> DestPhis = Dest->phis();
-    for (BasicBlock *P : Preds) {
+    for (BasicBlock *P : BBPreds) {
       // An invoke edge into a plain block must keep its landing structure;
       // only plain branches/switches are rerouted here.
       if (isa<InvokeInst>(P->getTerminator())) {
@@ -489,12 +515,16 @@ bool threadTrivialBlocks(Function &F, SimplifyStats &Stats) {
       Value *V = Phi->getIncomingValueForBlock(BB);
       int BBIdx = Phi->indexOfBlock(BB);
       Phi->removeIncoming(static_cast<unsigned>(BBIdx));
-      for (BasicBlock *P : Preds)
+      for (BasicBlock *P : BBPreds)
         if (Phi->indexOfBlock(P) < 0)
           Phi->addIncoming(V, P);
     }
-    for (BasicBlock *P : Preds)
+    for (BasicBlock *P : BBPreds) {
       P->getTerminator()->replaceSuccessorWith(BB, Dest);
+      Preds.addEdge(P, Dest);
+    }
+    Preds.removeEdge(BB, Dest);
+    Preds.clear(BB);
     BB->dropAllBlockReferences();
     BB->eraseFromParent();
     ++Stats.BlocksRemoved;
@@ -503,40 +533,101 @@ bool threadTrivialBlocks(Function &F, SimplifyStats &Stats) {
   return Changed;
 }
 
+/// True when \p P2 has the same type and arity as \p P1 and, for each of
+/// its incoming blocks, the value \p P1 takes from that block.
+bool samePhi(const PhiInst *P1, const PhiInst *P2) {
+  if (P1->getType() != P2->getType() ||
+      P1->getNumIncoming() != P2->getNumIncoming())
+    return false;
+  for (unsigned K = 0; K < P2->getNumIncoming(); ++K) {
+    int Idx = P1->indexOfBlock(P2->getIncomingBlock(K));
+    if (Idx < 0 || P1->getIncomingValue(static_cast<unsigned>(Idx)) !=
+                       P2->getIncomingValue(K))
+      return false;
+  }
+  return true;
+}
+
+/// Merges each phi into the first earlier phi of its block that samePhi
+/// matches, comparing every pair. The reference semantics: a merge
+/// rewrites the uses of the dropped phi, which can change how later
+/// pairs compare.
+unsigned mergeIdenticalPhisPairwise(std::vector<PhiInst *> &Phis) {
+  unsigned Merged = 0;
+  for (size_t A = 0; A < Phis.size(); ++A) {
+    if (!Phis[A])
+      continue;
+    for (size_t B = A + 1; B < Phis.size(); ++B) {
+      if (!Phis[B] || !samePhi(Phis[A], Phis[B]))
+        continue;
+      Phis[B]->replaceAllUsesWith(Phis[A]);
+      Phis[B]->eraseFromParent();
+      Phis[B] = nullptr;
+      ++Merged;
+    }
+  }
+  return Merged;
+}
+
 /// Merges identical phi-nodes within each block (same incoming value for
-/// every incoming block).
+/// every incoming block), keeping the first of each group.
+///
+/// Hashing gives the pairwise result whenever no merge can change a phi
+/// of the same block: no phi takes another phi of its block as an
+/// incoming value, and no phi repeats an incoming block (samePhi is then
+/// an equivalence on fixed keys). Blocks outside that case use the
+/// pairwise loop.
 bool mergeIdenticalPhis(Function &F, SimplifyStats &Stats) {
   bool Changed = false;
+  std::vector<std::pair<BasicBlock *, Value *>> Key;
+  std::unordered_map<uint64_t, std::vector<PhiInst *>> Groups;
+  std::vector<unsigned> BlockMark(F.getMaxBlockNumber(), 0);
+  unsigned Epoch = 0;
   for (BasicBlock *BB : F) {
     std::vector<PhiInst *> Phis = BB->phis();
-    for (size_t A = 0; A < Phis.size(); ++A) {
-      if (!Phis[A])
-        continue;
-      for (size_t B = A + 1; B < Phis.size(); ++B) {
-        if (!Phis[B])
-          continue;
-        PhiInst *P1 = Phis[A];
-        PhiInst *P2 = Phis[B];
-        if (P1->getType() != P2->getType() ||
-            P1->getNumIncoming() != P2->getNumIncoming())
-          continue;
-        bool Same = true;
-        for (unsigned K = 0; K < P2->getNumIncoming(); ++K) {
-          int Idx = P1->indexOfBlock(P2->getIncomingBlock(K));
-          if (Idx < 0 || P1->getIncomingValue(static_cast<unsigned>(Idx)) !=
-                             P2->getIncomingValue(K)) {
-            Same = false;
-            break;
-          }
-        }
-        if (!Same)
-          continue;
-        P2->replaceAllUsesWith(P1);
-        P2->eraseFromParent();
-        Phis[B] = nullptr;
-        ++Stats.PhisMerged;
-        Changed = true;
+    if (Phis.size() < 2)
+      continue;
+    bool Hashable = true;
+    for (PhiInst *P : Phis) {
+      ++Epoch;
+      for (unsigned K = 0; K < P->getNumIncoming() && Hashable; ++K) {
+        unsigned &Mark = BlockMark[P->getIncomingBlock(K)->getNumber()];
+        auto *In = dyn_cast<PhiInst>(P->getIncomingValue(K));
+        Hashable = Mark != Epoch && !(In && In != P && In->getParent() == BB);
+        Mark = Epoch;
       }
+      if (!Hashable)
+        break;
+    }
+    if (!Hashable) {
+      unsigned Merged = mergeIdenticalPhisPairwise(Phis);
+      Stats.PhisMerged += Merged;
+      Changed |= Merged != 0;
+      continue;
+    }
+    Groups.clear();
+    for (PhiInst *P : Phis) {
+      Key.clear();
+      for (unsigned K = 0; K < P->getNumIncoming(); ++K)
+        Key.push_back({P->getIncomingBlock(K), P->getIncomingValue(K)});
+      std::sort(Key.begin(), Key.end(), [](const auto &X, const auto &Y) {
+        return X.first->getNumber() < Y.first->getNumber();
+      });
+      uint64_t H = std::hash<const void *>()(P->getType());
+      for (const auto &[In, V] : Key)
+        H = (H ^ std::hash<const void *>()(V) ^ In->getNumber()) *
+            0x100000001b3ULL;
+      std::vector<PhiInst *> &Group = Groups[H];
+      auto Same = std::find_if(Group.begin(), Group.end(),
+                               [&](PhiInst *Q) { return samePhi(Q, P); });
+      if (Same == Group.end()) {
+        Group.push_back(P);
+        continue;
+      }
+      P->replaceAllUsesWith(*Same);
+      P->eraseFromParent();
+      ++Stats.PhisMerged;
+      Changed = true;
     }
   }
   return Changed;
@@ -544,10 +635,17 @@ bool mergeIdenticalPhis(Function &F, SimplifyStats &Stats) {
 
 /// One round of per-instruction simplification. Instruction-level RAUW
 /// never changes the CFG, so one dominator tree serves the whole round
-/// (used for the dominance-guarded phi fold).
+/// (used for the dominance-guarded phi fold, and built only if a fold
+/// needs it).
 bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
   bool Changed = false;
-  DominatorTree DT(F);
+  // Built on the first dominance query of the round.
+  std::optional<DominatorTree> DomTree;
+  auto DT = [&]() -> const DominatorTree & {
+    if (!DomTree)
+      DomTree.emplace(F);
+    return *DomTree;
+  };
   for (BasicBlock *BB : F) {
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction *I = *It++;
@@ -571,11 +669,11 @@ bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
             // Must dominate the exit of every edge carrying the phi.
             for (unsigned K = 0; K < UP->getNumIncoming(); ++K)
               if (UP->getIncomingValue(K) == P &&
-                  !DT.dominatesBlockExit(CI, UP->getIncomingBlock(K))) {
+                  !DT().dominatesBlockExit(CI, UP->getIncomingBlock(K))) {
                 DominatesAllUsers = false;
                 break;
               }
-          } else if (!DT.dominates(CI, UI)) {
+          } else if (!DT().dominates(CI, UI)) {
             DominatesAllUsers = false;
           }
           if (!DominatesAllUsers)
@@ -603,6 +701,9 @@ SimplifyStats salssa::simplifyFunction(Function &F, Context &Ctx,
   SimplifyStats Stats;
   if (F.isDeclaration())
     return Stats;
+  // Compact the block numbers the analyses are indexed by; the rounds
+  // below only erase blocks, so the numbers stay valid throughout.
+  F.renumberBlocks();
   const unsigned MaxIterations = 16;
   bool Changed = true;
   while (Changed && Stats.Iterations < MaxIterations) {
@@ -614,8 +715,11 @@ SimplifyStats salssa::simplifyFunction(Function &F, Context &Ctx,
     unsigned DeadBlocks = removeUnreachableBlocks(F);
     Stats.BlocksRemoved += DeadBlocks;
     Changed |= DeadBlocks != 0;
-    Changed |= threadTrivialBlocks(F, Stats);
-    Changed |= mergeBlocksIntoPredecessors(F, Ctx, Stats);
+    // One predecessor snapshot serves both CFG-editing passes, which keep
+    // it exact with local updates.
+    PredecessorMap Preds(F);
+    Changed |= threadTrivialBlocks(F, Stats, Preds);
+    Changed |= mergeBlocksIntoPredecessors(F, Ctx, Stats, Preds);
     unsigned Dce = eliminateDeadCode(F, PreserveTraps);
     Stats.InstructionsRemoved += Dce;
     Changed |= Dce != 0;

@@ -468,6 +468,66 @@ TEST(SimplifyTest, XorIdentities) {
 // Cloning
 //===----------------------------------------------------------------------===//
 
+TEST(SimplifyTest, MergesIdenticalPhisThatReadPhisOfTheirBlock) {
+  // e and f read c and d, phis of their own block. Merging d into c makes
+  // e and f identical, but only after the round compared them; the next
+  // round merges them.
+  Context Ctx;
+  Module M("m", Ctx);
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(), {Ctx.int32Ty()});
+  Function *F = M.createFunction("f", FnTy);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *H = F->createBlock("h");
+  BasicBlock *L = F->createBlock("l");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder B(Ctx, Entry);
+  B.createBr(H);
+  B.setInsertPoint(H);
+  PhiInst *E = B.createPhi(Ctx.int32Ty(), "e");
+  PhiInst *Fp = B.createPhi(Ctx.int32Ty(), "f");
+  PhiInst *C = B.createPhi(Ctx.int32Ty(), "c");
+  PhiInst *D = B.createPhi(Ctx.int32Ty(), "d");
+  Value *Cond = B.createICmp(CmpPredicate::SLT, C, F->getArg(0), "cond");
+  B.createCondBr(Cond, L, Exit);
+  B.setInsertPoint(L);
+  Value *X = B.createAdd(E, Fp, "x");
+  B.createBr(H);
+  B.setInsertPoint(Exit);
+  Value *S = B.createAdd(E, Fp, "s");
+  S = B.createAdd(S, C, "s2");
+  B.createRet(B.createAdd(S, D, "s3"));
+  E->addIncoming(Ctx.getInt32(2), Entry);
+  E->addIncoming(D, L);
+  Fp->addIncoming(Ctx.getInt32(2), Entry);
+  Fp->addIncoming(C, L);
+  C->addIncoming(Ctx.getInt32(1), Entry);
+  C->addIncoming(X, L);
+  D->addIncoming(Ctx.getInt32(1), Entry);
+  D->addIncoming(X, L);
+
+  SimplifyStats Stats = simplifyFunction(*F, Ctx);
+  ASSERT_TRUE(verifyFunction(*F).ok()) << verifyFunction(*F).str();
+  EXPECT_EQ(Stats.PhisMerged, 2u);
+  EXPECT_EQ(printFunction(*F), R"(define i32 @f(i32 %arg0) {
+entry:
+  br h
+h:
+  %e = phi i32 [2, entry], [%c, l]
+  %c = phi i32 [1, entry], [%x, l]
+  %cond = icmp slt i32 %c, %arg0
+  br i1 %cond, l, exit
+l:
+  %x = add i32 %e, %e
+  br h
+exit:
+  %s = add i32 %e, %e
+  %s2 = add i32 %s, %c
+  %s3 = add i32 %s2, %c
+  ret i32 %s3
+}
+)");
+}
+
 TEST(CloningTest, CloneFunctionIsIdenticalAndIndependent) {
   Context Ctx;
   Module M("m", Ctx);
@@ -523,5 +583,299 @@ TEST(CloningTest, ClonePreservesPhiStructure) {
       for (unsigned K = 0; K < P->getNumIncoming(); ++K)
         EXPECT_EQ(P->getIncomingBlock(K)->getParent(), C);
 }
+
+//===----------------------------------------------------------------------===//
+// Phi incoming order. Mem2Reg appends incoming entries in the order its
+// renaming DFS visits predecessors, then fills edges from unreachable
+// blocks with undef in block-list order; Simplify's threading appends
+// rerouted predecessors in block-list order. These orders are printed,
+// so each test pins the exact text.
+//===----------------------------------------------------------------------===//
+
+/// Creates `i32 @Name(i32 %arg0, i1 %arg1)` with an entry block holding
+/// one i32 slot named "s", initialized to %arg0.
+static Function *buildSlotFunction(Module &M, const std::string &Name,
+                                   AllocaInst *&Slot) {
+  Context &Ctx = M.getContext();
+  Type *FnTy =
+      Ctx.types().getFunctionTy(Ctx.int32Ty(), {Ctx.int32Ty(), Ctx.int1Ty()});
+  Function *F = M.createFunction(Name, FnTy);
+  IRBuilder B(Ctx, F->createBlock("entry"));
+  Slot = B.createAlloca(Ctx.int32Ty(), 1, "s");
+  B.createStore(F->getArg(0), Slot);
+  return F;
+}
+
+TEST(PhiOrderTest, UnreachablePredecessorsGetUndefInBlockOrder) {
+  Context Ctx;
+  Module M("m", Ctx);
+  AllocaInst *S;
+  Function *F = buildSlotFunction(M, "f", S);
+  BasicBlock *Entry = F->getEntryBlock();
+  BasicBlock *Dead1 = F->createBlock("dead1");
+  BasicBlock *Left = F->createBlock("left");
+  BasicBlock *Dead2 = F->createBlock("dead2");
+  BasicBlock *Right = F->createBlock("right");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(Ctx, Entry);
+  B.createCondBr(F->getArg(1), Left, Right);
+  B.setInsertPoint(Dead1);
+  B.createStore(Ctx.getInt32(7), S);
+  B.createBr(Join);
+  B.setInsertPoint(Left);
+  B.createStore(Ctx.getInt32(1), S);
+  B.createBr(Join);
+  B.setInsertPoint(Dead2);
+  B.createBr(Join);
+  B.setInsertPoint(Right);
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  B.createRet(B.createLoad(Ctx.int32Ty(), S, "v"));
+
+  promoteAllocasToRegisters(*F, Ctx);
+  ASSERT_TRUE(verifyFunction(*F).ok()) << verifyFunction(*F).str();
+  EXPECT_EQ(printFunction(*F), R"(define i32 @f(i32 %arg0, i1 %arg1) {
+entry:
+  br i1 %arg1, left, right
+dead1:
+  br join
+left:
+  br join
+dead2:
+  br join
+right:
+  br join
+join:
+  %s.phi = phi i32 [%arg0, right], [1, left], [undef, dead1], [undef, dead2]
+  ret i32 %s.phi
+}
+)");
+}
+
+TEST(PhiOrderTest, SwitchWithDuplicateSuccessorEdges) {
+  Context Ctx;
+  Module M("m", Ctx);
+  AllocaInst *S;
+  Function *F = buildSlotFunction(M, "f", S);
+  BasicBlock *Entry = F->getEntryBlock();
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *Hub = F->createBlock("hub");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(Ctx, Entry);
+  SwitchInst *SW = B.createSwitch(F->getArg(0), Join);
+  SW->addCase(Ctx.getInt32(1), A);
+  SW->addCase(Ctx.getInt32(2), Hub);
+  SW->addCase(Ctx.getInt32(3), A);
+  SW->addCase(Ctx.getInt32(4), Join);
+  B.setInsertPoint(A);
+  B.createStore(Ctx.getInt32(5), S);
+  B.createCondBr(F->getArg(1), Hub, Join);
+  B.setInsertPoint(Hub);
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  B.createRet(B.createLoad(Ctx.int32Ty(), S, "v"));
+
+  promoteAllocasToRegisters(*F, Ctx);
+  ASSERT_TRUE(verifyFunction(*F).ok()) << verifyFunction(*F).str();
+  EXPECT_EQ(printFunction(*F), R"(define i32 @f(i32 %arg0, i1 %arg1) {
+entry:
+  switch i32 %arg0, default join [1:a 2:hub 3:a 4:join]
+a:
+  br i1 %arg1, hub, join
+hub:
+  %s.phi = phi i32 [%arg0, entry], [5, a]
+  br join
+join:
+  %s.phi = phi i32 [%arg0, entry], [5, a], [%s.phi, hub]
+  ret i32 %s.phi
+}
+)");
+}
+
+TEST(PhiOrderTest, ThreadingAppendsPredecessorsInBlockOrder) {
+  Context Ctx;
+  Module M("m", Ctx);
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(), {Ctx.int32Ty()});
+  Function *F = M.createFunction("f", FnTy);
+  Function *Ext =
+      M.createFunction("ext", Ctx.types().getFunctionTy(Ctx.voidTy(), {}));
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *X = F->createBlock("x");
+  BasicBlock *Hub = F->createBlock("hub");
+  BasicBlock *Y = F->createBlock("y");
+  BasicBlock *Z = F->createBlock("z");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(Ctx, Entry);
+  SwitchInst *SW = B.createSwitch(F->getArg(0), Y);
+  SW->addCase(Ctx.getInt32(1), X);
+  SW->addCase(Ctx.getInt32(2), Hub);
+  SW->addCase(Ctx.getInt32(3), Z);
+  SW->addCase(Ctx.getInt32(4), Hub);
+  B.setInsertPoint(Y);
+  B.createCall(Ext, {});
+  B.createBr(Hub);
+  B.setInsertPoint(X);
+  B.createCall(Ext, {});
+  B.createBr(Hub);
+  B.setInsertPoint(Hub);
+  B.createBr(Join);
+  B.setInsertPoint(Z);
+  Value *ZV = B.createMul(F->getArg(0), Ctx.getInt32(3), "zv");
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  PhiInst *P = B.createPhi(Ctx.int32Ty(), "p");
+  P->addIncoming(ZV, Z);
+  P->addIncoming(Ctx.getInt32(7), Hub);
+  B.createRet(P);
+
+  // hub's predecessors replace its entry in block order (entry, x, y),
+  // although the switch reaches x after y.
+  simplifyFunction(*F, Ctx);
+  ASSERT_TRUE(verifyFunction(*F).ok()) << verifyFunction(*F).str();
+  EXPECT_EQ(printFunction(*F), R"(define i32 @f(i32 %arg0) {
+entry:
+  switch i32 %arg0, default y [1:x 2:join 3:z 4:join]
+x:
+  call void @ext()
+  br join
+y:
+  call void @ext()
+  br join
+z:
+  %zv = mul i32 %arg0, 3
+  br join
+join:
+  %p = phi i32 [%zv, z], [7, entry], [7, x], [7, y]
+  ret i32 %p
+}
+)");
+}
+
+TEST(PhiOrderTest, IrreducibleLoop) {
+  Context Ctx;
+  Module M("m", Ctx);
+  AllocaInst *S;
+  Function *F = buildSlotFunction(M, "f", S);
+  BasicBlock *Entry = F->getEntryBlock();
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *Bb = F->createBlock("b");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder B(Ctx, Entry);
+  B.createCondBr(F->getArg(1), A, Bb);
+  // a and b both enter the cycle a <-> b: neither dominates the other.
+  B.setInsertPoint(A);
+  Value *X = B.createLoad(Ctx.int32Ty(), S, "x");
+  B.createStore(B.createAdd(X, Ctx.getInt32(1), "x1"), S);
+  Value *C = B.createICmp(CmpPredicate::SLT, X, Ctx.getInt32(100), "c");
+  B.createCondBr(C, Bb, Exit);
+  B.setInsertPoint(Bb);
+  Value *Y = B.createLoad(Ctx.int32Ty(), S, "y");
+  B.createStore(B.createMul(Y, Ctx.getInt32(2), "y2"), S);
+  B.createBr(A);
+  B.setInsertPoint(Exit);
+  B.createRet(B.createLoad(Ctx.int32Ty(), S, "v"));
+
+  promoteAllocasToRegisters(*F, Ctx);
+  ASSERT_TRUE(verifyFunction(*F).ok()) << verifyFunction(*F).str();
+  EXPECT_EQ(printFunction(*F), R"(define i32 @f(i32 %arg0, i1 %arg1) {
+entry:
+  br i1 %arg1, a, b
+a:
+  %s.phi = phi i32 [%arg0, entry], [%y2, b]
+  %x1 = add i32 %s.phi, 1
+  %c = icmp slt i32 %s.phi, 100
+  br i1 %c, b, exit
+b:
+  %s.phi = phi i32 [%arg0, entry], [%x1, a]
+  %y2 = mul i32 %s.phi, 2
+  br a
+exit:
+  ret i32 %x1
+}
+)");
+}
+
+TEST(PhiOrderTest, InvokeNormalEdge) {
+  Context Ctx;
+  Module M("m", Ctx);
+  AllocaInst *S;
+  Function *F = buildSlotFunction(M, "f", S);
+  Function *Callee =
+      M.createFunction("ext", Ctx.types().getFunctionTy(Ctx.int32Ty(), {}));
+  BasicBlock *Entry = F->getEntryBlock();
+  BasicBlock *Inv = F->createBlock("inv");
+  BasicBlock *Other = F->createBlock("other");
+  BasicBlock *Join = F->createBlock("join");
+  BasicBlock *Pad = F->createBlock("pad");
+  IRBuilder B(Ctx, Entry);
+  B.createCondBr(F->getArg(1), Inv, Other);
+  B.setInsertPoint(Inv);
+  // inv reaches join through the invoke's normal edge.
+  B.createStore(Ctx.getInt32(1), S);
+  B.createInvoke(Callee, {}, Join, Pad, "r");
+  B.setInsertPoint(Other);
+  B.createStore(Ctx.getInt32(2), S);
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  B.createRet(B.createLoad(Ctx.int32Ty(), S, "v"));
+  B.setInsertPoint(Pad);
+  Value *Token = B.createLandingPad("lp");
+  B.createStore(Ctx.getInt32(3), S);
+  B.createResume(Token);
+
+  promoteAllocasToRegisters(*F, Ctx);
+  ASSERT_TRUE(verifyFunction(*F).ok()) << verifyFunction(*F).str();
+  EXPECT_EQ(printFunction(*F), R"(define i32 @f(i32 %arg0, i1 %arg1) {
+entry:
+  br i1 %arg1, inv, other
+inv:
+  %r = invoke i32 @ext() to join unwind pad
+other:
+  br join
+join:
+  %s.phi = phi i32 [2, other], [1, inv]
+  ret i32 %s.phi
+pad:
+  %lp = landingpad
+  resume %lp
+}
+)");
+}
+
+TEST(PhiOrderTest, SelfLoopBlock) {
+  Context Ctx;
+  Module M("m", Ctx);
+  AllocaInst *S;
+  Function *F = buildSlotFunction(M, "f", S);
+  BasicBlock *Entry = F->getEntryBlock();
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder B(Ctx, Entry);
+  B.createBr(Loop);
+  B.setInsertPoint(Loop);
+  Value *V = B.createLoad(Ctx.int32Ty(), S, "v");
+  Value *V2 = B.createAdd(V, Ctx.getInt32(1), "v2");
+  B.createStore(V2, S);
+  Value *C = B.createICmp(CmpPredicate::SLT, V2, Ctx.getInt32(10), "c");
+  B.createCondBr(C, Loop, Exit);
+  B.setInsertPoint(Exit);
+  B.createRet(B.createLoad(Ctx.int32Ty(), S, "r"));
+
+  promoteAllocasToRegisters(*F, Ctx);
+  ASSERT_TRUE(verifyFunction(*F).ok()) << verifyFunction(*F).str();
+  EXPECT_EQ(printFunction(*F), R"(define i32 @f(i32 %arg0, i1 %arg1) {
+entry:
+  br loop
+loop:
+  %s.phi = phi i32 [%arg0, entry], [%v2, loop]
+  %v2 = add i32 %s.phi, 1
+  %c = icmp slt i32 %v2, 10
+  br i1 %c, loop, exit
+exit:
+  ret i32 %v2
+}
+)");
+}
+
 
 } // namespace
