@@ -13,11 +13,12 @@ everything else is informational:
                    an absolute floor (ABS_FLOOR_SECONDS) so micro-legs
                    whose baseline is a few milliseconds cannot fail on
                    scheduler noise.
-  *kernel_seconds  per-iteration means of google-benchmark kernels
-                   (bench_micro_kernels: one merge attempt, one register
-                   promotion). Averaged over many iterations, so they
-                   are gated like wall-clock legs but with the much lower
-                   KERNEL_FLOOR_SECONDS.
+  *kernel_seconds  a google-benchmark kernel's fastest repetition
+                   (bench_micro_kernels: one SalSSA merge attempt, about
+                   10 ms). Gated like the wall-clock legs at
+                   WALL_TOLERANCE, without ABS_FLOOR_SECONDS: the fastest
+                   of nine repetitions already sheds most scheduler noise
+                   (its measured spread is recorded in CHANGES.md).
   *reduction_pct   size-reduction percentages — the paper's headline
                    metric. These are deterministic, so the tolerance is
                    a flat REDUCTION_TOLERANCE_PCT (15% relative) and any
@@ -40,7 +41,6 @@ WALL_TOLERANCE = 0.15  # +15% wall-clock allowed before failing
 REDUCTION_TOLERANCE_PCT = 0.15  # -15% (relative) reduction allowed
 RECALL_TOLERANCE_PCT = 0.15  # -15% (relative) discovery recall allowed
 ABS_FLOOR_SECONDS = 0.05  # ignore wall regressions under this baseline
-KERNEL_FLOOR_SECONDS = 0.0002  # the same floor for per-iteration kernels
 
 
 def load_benches(path):
@@ -108,12 +108,11 @@ def main(argv):
                 continue
             compared += 1
             if kind == "wall":
-                floor = (KERNEL_FLOOR_SECONDS
-                         if key.endswith("kernel_seconds")
-                         else ABS_FLOOR_SECONDS)
-                if base < floor:
+                if (base < ABS_FLOOR_SECONDS
+                        and not key.endswith("kernel_seconds")):
                     print(f"ok:     {name}.{key} {base:.6f}s -> {value:.6f}s "
-                          f"(under the {floor}s floor, not gated)")
+                          f"(under the {ABS_FLOOR_SECONDS}s floor, "
+                          f"not gated)")
                     continue
                 limit = base * (1 + WALL_TOLERANCE)
                 verdict = "FAIL" if value > limit else "ok"

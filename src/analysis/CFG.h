@@ -72,8 +72,15 @@ public:
   /// excluded).
   const std::vector<BasicBlock *> &reversePostOrder() const { return RPO; }
 
+  /// False for a null block and for a block of another function, whose
+  /// number may be out of range or alias one of this function's: the
+  /// verifier asks this of operands a faulty pass took from elsewhere.
   bool isReachable(const BasicBlock *BB) const {
-    return RPOIndex[BB->getNumber()] != Unreachable;
+    if (!BB)
+      return false;
+    unsigned N = BB->getNumber();
+    return N < RPOIndex.size() && RPOIndex[N] != Unreachable &&
+           RPO[RPOIndex[N]] == BB;
   }
 
   /// Position of a reachable block in reversePostOrder().

@@ -286,6 +286,20 @@ private:
       }
   }
 
+  /// Reports \p DefI, an operand of \p User, when it is unlinked or in
+  /// another function; only the other operands get a dominance query.
+  bool isLocalDef(const Instruction *User, const Instruction *DefI) {
+    if (!DefI->getParent()) {
+      errorAt(User, "operand instruction is unlinked");
+      return false;
+    }
+    if (DefI->getFunction() != &F) {
+      errorAt(User, "operand instruction from another function");
+      return false;
+    }
+    return true;
+  }
+
   void checkDominance() {
     DominatorTree DT(F);
     const CFGInfo &CFG = DT.getCFG();
@@ -295,10 +309,13 @@ private:
       for (const Instruction *I : *BB) {
         if (const auto *P = dyn_cast<PhiInst>(I)) {
           for (unsigned K = 0; K < P->getNumIncoming(); ++K) {
+            const BasicBlock *In = P->getIncomingBlock(K);
+            if (In->getParent() != &F)
+              continue; // reported by checkPhisAndLandingPads
             const auto *DefI = dyn_cast<Instruction>(P->getIncomingValue(K));
-            if (!DefI)
+            if (!DefI || !isLocalDef(I, DefI))
               continue;
-            if (!DT.dominatesBlockExit(DefI, P->getIncomingBlock(K)))
+            if (!DT.dominatesBlockExit(DefI, In))
               errorAt(I, "phi incoming value does not dominate the "
                          "incoming block's exit");
           }
@@ -306,16 +323,8 @@ private:
         }
         for (const Value *Op : I->operands()) {
           const auto *DefI = dyn_cast<Instruction>(Op);
-          if (!DefI)
+          if (!DefI || !isLocalDef(I, DefI))
             continue;
-          if (!DefI->getParent()) {
-            errorAt(I, "operand instruction is unlinked");
-            continue;
-          }
-          if (DefI->getFunction() != &F) {
-            errorAt(I, "operand instruction from another function");
-            continue;
-          }
           if (!DT.dominates(DefI, I))
             errorAt(I, "operand does not dominate use (SSA dominance "
                        "property violated)");

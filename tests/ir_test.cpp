@@ -259,6 +259,37 @@ TEST(CFGTest, UnreachableBlocksExcluded) {
   EXPECT_EQ(CFG.getNumReachableBlocks(), 1u);
 }
 
+// Block numbers are per function: another function's block 0 aliases this
+// entry's number and its block 3 lies past this function's tables.
+TEST(CFGTest, BlocksOfAnotherFunctionAreUnreachable) {
+  Context Ctx;
+  Module M("m", Ctx);
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.voidTy(), {});
+  Function *F = M.createFunction("f", FnTy);
+  BasicBlock *Entry = F->createBlock("entry");
+  IRBuilder B(Ctx, Entry);
+  B.createRetVoid();
+  Function *G = M.createFunction("g", FnTy);
+  std::vector<BasicBlock *> GBlocks;
+  for (const char *Name : {"g0", "g1", "g2", "g3"})
+    GBlocks.push_back(G->createBlock(Name));
+  for (size_t K = 0; K < GBlocks.size(); ++K) {
+    B.setInsertPoint(GBlocks[K]);
+    if (K + 1 < GBlocks.size())
+      B.createBr(GBlocks[K + 1]);
+    else
+      B.createRetVoid();
+  }
+  DominatorTree DT(*F);
+  const CFGInfo &CFG = DT.getCFG();
+  EXPECT_EQ(GBlocks[0]->getNumber(), Entry->getNumber());
+  EXPECT_FALSE(CFG.isReachable(GBlocks[0]));
+  EXPECT_FALSE(CFG.isReachable(GBlocks[3]));
+  EXPECT_FALSE(CFG.isReachable(nullptr));
+  EXPECT_FALSE(DT.dominates(GBlocks[0], Entry));
+  EXPECT_FALSE(DT.dominates(GBlocks[3], Entry));
+}
+
 /// True when \p Member is in the dominance frontier of \p BB.
 static bool inFrontier(DominatorTree &DT, const BasicBlock *BB,
                        const BasicBlock *Member) {
@@ -431,6 +462,127 @@ TEST(VerifierTest, DetectsPhiPredecessorMismatch) {
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.str().find("missing incoming entry"), std::string::npos)
       << R.str();
+}
+
+namespace {
+
+/// A function "other" whose block \p DefBlock (of \p NumBlocks, all
+/// chained by branches) defines %foreign; returns that instruction.
+Instruction *buildForeignDef(Module &M, unsigned NumBlocks,
+                             unsigned DefBlock) {
+  Context &Ctx = M.getContext();
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(), {});
+  Function *G = M.createFunction("other", FnTy);
+  std::vector<BasicBlock *> Blocks;
+  for (unsigned K = 0; K < NumBlocks; ++K)
+    Blocks.push_back(G->createBlock("g" + std::to_string(K)));
+  IRBuilder B(Ctx);
+  Instruction *Def = nullptr;
+  for (unsigned K = 0; K < NumBlocks; ++K) {
+    B.setInsertPoint(Blocks[K]);
+    if (K == DefBlock)
+      Def = cast<Instruction>(
+          B.createAdd(Ctx.getInt32(1), Ctx.getInt32(2), "foreign"));
+    if (K + 1 < NumBlocks)
+      B.createBr(Blocks[K + 1]);
+    else
+      B.createRet(Def);
+  }
+  return Def;
+}
+
+/// entry -(cond)-> a -> join, entry -> join; join holds
+/// `%p = phi [1, entry], [\p FromA, a]` and returns it.
+PhiInst *buildJoinPhi(Module &M, Value *FromA) {
+  Context &Ctx = M.getContext();
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(), {Ctx.int1Ty()});
+  Function *F = M.createFunction("bad", FnTy);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(Ctx, Entry);
+  B.createCondBr(F->getArg(0), A, Join);
+  B.setInsertPoint(A);
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  PhiInst *P = B.createPhi(Ctx.int32Ty(), "p");
+  P->addIncoming(Ctx.getInt32(1), Entry);
+  P->addIncoming(FromA, A);
+  B.createRet(P);
+  return P;
+}
+
+} // namespace
+
+// A phi reading an instruction of another function is reported, whether
+// that instruction's block number aliases one of this function's blocks
+// (the entry, 0, dominates everything here) or lies beyond them.
+TEST(VerifierTest, DetectsPhiIncomingFromAnotherFunction) {
+  for (unsigned DefBlock : {0u, 7u}) {
+    Context Ctx;
+    Module M("m", Ctx);
+    Instruction *Foreign = buildForeignDef(M, 8, DefBlock);
+    PhiInst *P = buildJoinPhi(M, Foreign);
+    VerifierReport R = verifyFunction(*P->getFunction());
+    EXPECT_FALSE(R.ok()) << "def in block " << DefBlock;
+    EXPECT_NE(R.str().find("operand instruction from another function"),
+              std::string::npos)
+        << R.str();
+  }
+}
+
+TEST(VerifierTest, DetectsOperandFromAnotherFunction) {
+  for (unsigned DefBlock : {0u, 7u}) {
+    Context Ctx;
+    Module M("m", Ctx);
+    Instruction *Foreign = buildForeignDef(M, 8, DefBlock);
+    Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(), {});
+    Function *F = M.createFunction("bad", FnTy);
+    IRBuilder B(Ctx, F->createBlock("entry"));
+    B.createRet(B.createAdd(Foreign, Ctx.getInt32(1), "x"));
+    VerifierReport R = verifyFunction(*F);
+    EXPECT_FALSE(R.ok()) << "def in block " << DefBlock;
+    EXPECT_NE(R.str().find("operand instruction from another function"),
+              std::string::npos)
+        << R.str();
+  }
+}
+
+TEST(VerifierTest, DetectsPhiIncomingUnlinked) {
+  Context Ctx;
+  Module M("m", Ctx);
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(), {});
+  Function *Holder = M.createFunction("holder", FnTy);
+  IRBuilder B(Ctx, Holder->createBlock("entry"));
+  auto *Loose =
+      cast<Instruction>(B.createAdd(Ctx.getInt32(1), Ctx.getInt32(2), "loose"));
+  Instruction *Ret = B.createRet(Ctx.getInt32(0));
+  Loose->removeFromParent();
+  PhiInst *P = buildJoinPhi(M, Loose);
+  VerifierReport R = verifyFunction(*P->getFunction());
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.str().find("operand instruction is unlinked"), std::string::npos)
+      << R.str();
+  Loose->insertBefore(Ret); // the module owns it again
+}
+
+// An incoming block of another function is reported as not a predecessor,
+// and the dominance check, which indexes its tables by block number,
+// leaves that entry alone.
+TEST(VerifierTest, DetectsPhiForeignIncomingBlock) {
+  for (unsigned DefBlock : {1u, 7u}) {
+    Context Ctx;
+    Module M("m", Ctx);
+    Instruction *Foreign = buildForeignDef(M, 8, DefBlock);
+    PhiInst *P = buildJoinPhi(M, Ctx.getInt32(2));
+    P->addIncoming(P, Foreign->getParent());
+    VerifierReport R = verifyFunction(*P->getFunction());
+    EXPECT_FALSE(R.ok()) << "foreign block " << DefBlock;
+    EXPECT_NE(R.str().find("incoming block 'g" + std::to_string(DefBlock) +
+                           "' is not a predecessor"),
+              std::string::npos)
+        << R.str();
+  }
 }
 
 TEST(VerifierTest, DetectsInvokeWithoutLandingPad) {
