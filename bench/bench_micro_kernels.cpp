@@ -5,7 +5,9 @@
 // google-benchmark microbenchmarks of the pass's computational kernels:
 // Needleman-Wunsch alignment (quadratic; the paper's §5.5/§5.6 bottleneck),
 // register demotion/promotion, and the SalSSA code generator. These expose
-// the asymptotics that explain Figures 22-24.
+// the asymptotics that explain Figures 22-24. BM_SalSSARemergePair
+// re-merges two merged functions, the phi-dense case of a whole-program
+// run, and reports the clean-up stack's deterministic work counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -110,6 +112,65 @@ void BM_FMSAMergePair(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_FMSAMergePair)->Range(64, 512)->Iterations(20);
+
+/// Two merged functions, each of two drifted clones of one generated
+/// function: re-merging them is the repair-phi-heavy attempt.
+struct RemergeFixture {
+  Context Ctx;
+  std::unique_ptr<Module> M;
+  Function *M1 = nullptr;
+  Function *M2 = nullptr;
+
+  explicit RemergeFixture(unsigned Size) {
+    M = std::make_unique<Module>("remerge", Ctx);
+    RNG Rng(Size * 104729 + 7);
+    WorkloadEnvironment Env(*M, Rng);
+    RandomFunctionOptions FO;
+    FO.TargetSize = Size;
+    RNG G = Rng.fork(1);
+    Function *Base = generateRandomFunction(Env, G, "base", FO);
+    DriftOptions DO;
+    DO.MutatePercent = 8;
+    Function *Clones[4];
+    for (unsigned K = 0; K < 4; ++K) {
+      RNG D = Rng.fork(2 + K);
+      Clones[K] = cloneWithDrift(Base, "c" + std::to_string(K), Env, D, DO);
+    }
+    M1 = mergeOf(Clones[0], Clones[1]);
+    M2 = mergeOf(Clones[2], Clones[3]);
+  }
+
+  static Function *mergeOf(Function *A, Function *B) {
+    MergeAttempt At = attemptMerge(
+        *A, *B, MergeCodeGenOptions::forTechnique(MergeTechnique::SalSSA),
+        TargetArch::X86Like, 0, 0);
+    return At.Gen.Merged;
+  }
+};
+
+void BM_SalSSARemergePair(benchmark::State &State) {
+  GeneratedMerge Last;
+  for (auto _ : State) {
+    State.PauseTiming();
+    RemergeFixture Fix(static_cast<unsigned>(State.range(0)));
+    State.ResumeTiming();
+    MergeAttempt A = attemptMerge(
+        *Fix.M1, *Fix.M2,
+        MergeCodeGenOptions::forTechnique(MergeTechnique::SalSSA),
+        TargetArch::X86Like, 0, 0);
+    benchmark::DoNotOptimize(A.Stats.SizeMerged);
+    State.PauseTiming();
+    Last = A.Gen;
+    discardMerge(A);
+    State.ResumeTiming();
+  }
+  // Per attempt; identical in every iteration (same seeded fixture).
+  State.counters["phis_created"] = Last.PhisCreated;
+  State.counters["simplify_runs_skipped"] = Last.Cleanup.SubPassRunsSkipped;
+  State.counters["phis_hashed"] = Last.Cleanup.PhisHashed;
+  State.counters["phis_swept"] = Last.Cleanup.PhisSwept;
+}
+BENCHMARK(BM_SalSSARemergePair)->Arg(128)->Arg(512)->Iterations(10);
 
 } // namespace
 

@@ -53,6 +53,19 @@ bool BasicBlock::isLandingBlock() const {
   return First && isa<LandingPadInst>(First);
 }
 
+void BasicBlock::noteUseDrop(bool IsPhi) {
+  ++InstStamp;
+  if (IsPhi && Parent)
+    ++Parent->PhiUseDropStamp;
+}
+
+void BasicBlock::noteInserted(const Instruction *I) {
+  noteOperandEdit(I->isPhi());
+  // Placement feeds dominance queries (Function::getCFGStamp).
+  if (Parent)
+    ++Parent->CFGStamp;
+}
+
 void BasicBlock::push_back(Instruction *I) {
   assert(!I->getParent() && "instruction already linked");
   // Appending keeps the ordinals increasing.
@@ -61,6 +74,7 @@ void BasicBlock::push_back(Instruction *I) {
   Insts.push_back(I);
   I->SelfIt = std::prev(Insts.end());
   I->Parent = this;
+  noteInserted(I);
 }
 
 BasicBlock::iterator BasicBlock::insert(iterator Pos, Instruction *I) {
@@ -73,6 +87,7 @@ BasicBlock::iterator BasicBlock::insert(iterator Pos, Instruction *I) {
   auto It = Insts.insert(Pos, I);
   I->SelfIt = It;
   I->Parent = this;
+  noteInserted(I);
   return It;
 }
 
@@ -86,6 +101,7 @@ void BasicBlock::renumberInstructions() const {
 void BasicBlock::removeFromParent() {
   assert(Parent && "block is not linked");
   Parent->Blocks.erase(SelfIt);
+  ++Parent->CFGStamp;
   Parent = nullptr;
 }
 
@@ -102,14 +118,21 @@ void BasicBlock::dropAllBlockReferences() {
 
 void BasicBlock::replacePhiUsesWith(BasicBlock *OldPred,
                                     BasicBlock *NewPred) {
-  for (PhiInst *P : phis())
+  for (Instruction *I : Insts) {
+    auto *P = dyn_cast<PhiInst>(I);
+    if (!P)
+      break;
     P->replaceIncomingBlockWith(OldPred, NewPred);
+  }
 }
 
 void BasicBlock::removePredecessorEntries(BasicBlock *Pred) {
-  for (PhiInst *P : phis()) {
-    int I = P->indexOfBlock(Pred);
-    if (I >= 0)
-      P->removeIncoming(static_cast<unsigned>(I));
+  for (Instruction *I : Insts) {
+    auto *P = dyn_cast<PhiInst>(I);
+    if (!P)
+      break;
+    int Idx = P->indexOfBlock(Pred);
+    if (Idx >= 0)
+      P->removeIncoming(static_cast<unsigned>(Idx));
   }
 }

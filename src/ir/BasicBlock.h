@@ -12,6 +12,11 @@
 /// in the block: they are served by a snapshot (PredecessorMap) that the
 /// passes editing the CFG update locally.
 ///
+/// Each block also carries two edit stamps, counters that the IR mutators
+/// bump (never a pass), so a pass can prove that nothing it reads changed
+/// since it last looked at the block (transforms/Simplify.h lists which
+/// pass reads which stamp).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SALSSA_IR_BASICBLOCK_H
@@ -105,9 +110,36 @@ public:
   /// Pred->this is deleted).
   void removePredecessorEntries(BasicBlock *Pred);
 
+  /// \name Edit stamps.
+  /// Counters compared for equality only: an unchanged stamp proves that
+  /// no event of its kind happened in between.
+  /// @{
+  /// Bumped when an instruction is inserted into this block, when an
+  /// instruction of this block has an operand set, appended or erased or
+  /// a phi incoming block redirected, and when an instruction of this
+  /// block loses a use.
+  unsigned getInstStamp() const { return InstStamp; }
+  /// Bumped when a phi is inserted into this block, and when a phi of
+  /// this block gains, loses or changes an incoming value or block.
+  unsigned getPhiStamp() const { return PhiStamp; }
+  /// @}
+
 private:
   friend class Function;
   friend class Instruction;
+  friend class PhiInst;
+  friend class Value;
+  friend class User;
+
+  void noteOperandEdit(bool IsPhi) {
+    ++InstStamp;
+    PhiStamp += IsPhi;
+  }
+  /// An instruction of this block lost a use (a phi also bumps the
+  /// function's phi-use-drop stamp).
+  void noteUseDrop(bool IsPhi);
+  /// \p I was linked into this block.
+  void noteInserted(const Instruction *I);
 
   /// Renumbers the instructions' ordinals in list order (see
   /// Instruction::comesBefore).
@@ -121,6 +153,8 @@ private:
   /// True while every instruction's Order increases along the list.
   /// Inserting in the middle clears it; removal keeps it.
   mutable bool InstOrderValid = false;
+  unsigned InstStamp = 0;
+  unsigned PhiStamp = 0;
 };
 
 } // namespace salssa

@@ -93,6 +93,19 @@ public:
   void renumberBlocks();
   /// @}
 
+  /// \name Edit stamps.
+  /// Function-wide counters bumped by the IR mutators; compared for
+  /// equality only (see BasicBlock::getInstStamp for the per-block ones).
+  /// @{
+  /// Bumped when a block is linked or unlinked, a successor edge is set
+  /// or added, a terminator is unlinked, an instruction is linked into a
+  /// block, or a phi incoming block is redirected: everything that can
+  /// change reachability or a dominance answer.
+  unsigned getCFGStamp() const { return CFGStamp; }
+  /// Bumped when a phi of this function loses a use.
+  unsigned getPhiUseDropStamp() const { return PhiUseDropStamp; }
+  /// @}
+
   /// Creates a block appended at the end (or before \p Before if given)
   /// and returns it.
   BasicBlock *createBlock(const std::string &Name = "",
@@ -116,6 +129,7 @@ public:
 private:
   friend class Module;
   friend class BasicBlock;
+  friend class Instruction;
   Function(const std::string &Name, Type *FnTy, Module *Parent);
 
   std::string Name;
@@ -124,6 +138,8 @@ private:
   std::vector<std::unique_ptr<Argument>> Args;
   BlockListTy Blocks;
   unsigned NextBlockNumber = 0;
+  unsigned CFGStamp = 0;
+  unsigned PhiUseDropStamp = 0;
 };
 
 } // namespace salssa

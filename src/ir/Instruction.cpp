@@ -14,6 +14,18 @@ Function *Instruction::getFunction() const {
   return Parent ? Parent->getParent() : nullptr;
 }
 
+void Instruction::noteCFGEdit() {
+  if (Function *F = getFunction())
+    ++F->CFGStamp;
+}
+
+void Instruction::setSuccessor(unsigned I, BasicBlock *BB) {
+  assert(I < Successors.size() && "successor index out of range");
+  Successors[I] = BB;
+  if (Parent)
+    noteCFGEdit();
+}
+
 void Instruction::replaceSuccessorWith(BasicBlock *Old, BasicBlock *New) {
   for (unsigned I = 0, E = getNumSuccessors(); I != E; ++I)
     if (getSuccessor(I) == Old)
@@ -22,6 +34,9 @@ void Instruction::replaceSuccessorWith(BasicBlock *Old, BasicBlock *New) {
 
 void Instruction::removeFromParent() {
   assert(Parent && "instruction is not linked");
+  // Unlinking a terminator removes its block's out-edges.
+  if (isTerminator())
+    noteCFGEdit();
   Parent->Insts.erase(SelfIt);
   Parent = nullptr;
 }
@@ -147,6 +162,15 @@ Value *PhiInst::getIncomingValueForBlock(const BasicBlock *BB) const {
   int I = indexOfBlock(BB);
   assert(I >= 0 && "block is not an incoming block of this phi");
   return getIncomingValue(static_cast<unsigned>(I));
+}
+
+void PhiInst::setIncomingBlock(unsigned I, BasicBlock *BB) {
+  assert(I < IncomingBlocks.size() && "incoming index out of range");
+  IncomingBlocks[I] = BB;
+  if (BasicBlock *Parent = getParent()) {
+    Parent->noteOperandEdit(/*IsPhi=*/true);
+    noteCFGEdit();
+  }
 }
 
 void PhiInst::replaceIncomingBlockWith(BasicBlock *Old, BasicBlock *New) {

@@ -118,10 +118,8 @@ public:
     assert(I < Successors.size() && "successor index out of range");
     return Successors[I];
   }
-  void setSuccessor(unsigned I, BasicBlock *BB) {
-    assert(I < Successors.size() && "successor index out of range");
-    Successors[I] = BB;
-  }
+  /// Redirects successor edge \p I (bumps the function's CFG stamp).
+  void setSuccessor(unsigned I, BasicBlock *BB);
   const std::vector<BasicBlock *> &successors() const { return Successors; }
   /// Replaces every successor edge to \p Old with \p New.
   void replaceSuccessorWith(BasicBlock *Old, BasicBlock *New);
@@ -155,10 +153,18 @@ public:
 protected:
   Instruction(ValueKind K, Type *T) : User(K, T) {}
 
-  void addSuccessorStorage(BasicBlock *BB) { Successors.push_back(BB); }
+  void addSuccessorStorage(BasicBlock *BB) {
+    Successors.push_back(BB);
+    if (Parent)
+      noteCFGEdit();
+  }
 
 private:
   friend class BasicBlock;
+  friend class PhiInst;
+  /// Bumps the parent function's CFG stamp (see Function::getCFGStamp).
+  void noteCFGEdit();
+
   BasicBlock *Parent = nullptr;
   std::list<Instruction *>::iterator SelfIt;
   std::vector<BasicBlock *> Successors;
@@ -503,15 +509,21 @@ public:
     assert(I < IncomingBlocks.size() && "incoming index out of range");
     return IncomingBlocks[I];
   }
-  void setIncomingBlock(unsigned I, BasicBlock *BB) {
-    assert(I < IncomingBlocks.size() && "incoming index out of range");
-    IncomingBlocks[I] = BB;
-  }
+  /// Redirects incoming entry \p I to \p BB (bumps the parent block's
+  /// edit stamps and the function's CFG stamp: the use moved to another
+  /// edge).
+  void setIncomingBlock(unsigned I, BasicBlock *BB);
 
   void addIncoming(Value *V, BasicBlock *BB) {
     assert(V->getType() == getType() && "phi incoming type mismatch");
     appendOperand(V);
     IncomingBlocks.push_back(BB);
+  }
+
+  /// Reserves room for \p N incoming entries (one per predecessor).
+  void reserveIncoming(unsigned N) {
+    reserveOperands(N);
+    IncomingBlocks.reserve(N);
   }
 
   /// Index of the entry for \p BB, or -1 if absent.
@@ -533,12 +545,19 @@ public:
   /// and undef), returns V; otherwise null. Used by simplification.
   Value *hasConstantValue() const;
 
+  /// Scratch mark for a pass walking phis (transforms/Simplify's dead
+  /// phi-web sweep). Meaningful only inside that walk, which sets it on
+  /// every phi it visits before reading it.
+  bool isMarked() const { return Marked; }
+  void setMarked(bool M) { Marked = M; }
+
   static bool classof(const Value *V) {
     return V->getValueKind() == ValueKind::Phi;
   }
 
 private:
   std::vector<BasicBlock *> IncomingBlocks;
+  bool Marked = false;
 };
 
 //===----------------------------------------------------------------------===//

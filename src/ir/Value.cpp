@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Value.h"
+#include "ir/Function.h"
 #include "ir/Type.h"
 #include <algorithm>
 
@@ -33,6 +34,9 @@ void Value::removeUser(User *U) {
   for (size_t I = UserList.size(); I > 0; --I) {
     if (UserList[I - 1] == U) {
       UserList.erase(UserList.begin() + static_cast<ptrdiff_t>(I - 1));
+      if (auto *Inst = dyn_cast<Instruction>(this))
+        if (BasicBlock *BB = Inst->getParent())
+          BB->noteUseDrop(Inst->isPhi());
       return;
     }
   }
@@ -43,14 +47,42 @@ void Value::replaceAllUsesWith(Value *New) {
   assert(New != this && "RAUW with self would loop forever");
   assert(New->getType() == getType() && "RAUW across different types");
   assert(isUseTracked() && "RAUW needs a use list; constants have none");
-  // Snapshot: setOperand mutates UserList.
-  std::vector<User *> Snapshot = UserList;
-  for (User *U : Snapshot) {
+  // Take the whole list at once: every slot that references this value
+  // is rewritten below, so no per-slot removeUser scan is needed. Users
+  // are visited in list order (a user listed twice finds nothing left the
+  // second time), which fixes the order of New's user list.
+  std::vector<User *> Users = std::move(UserList);
+  UserList.clear();
+  for (User *U : Users) {
+    bool Rewrote = false;
     for (unsigned I = 0, E = U->getNumOperands(); I != E; ++I)
-      if (U->getOperand(I) == this)
-        U->setOperand(I, New);
+      if (U->Operands[I] == this) {
+        U->Operands[I] = New;
+        New->addUser(U);
+        Rewrote = true;
+      }
+    if (Rewrote)
+      U->noteOperandEdit();
   }
-  assert(UserList.empty() && "RAUW left stale uses behind");
+  if (!Users.empty())
+    if (auto *Inst = dyn_cast<Instruction>(this))
+      if (BasicBlock *BB = Inst->getParent())
+        BB->noteUseDrop(Inst->isPhi());
+}
+
+User::~User() {
+  for (Value *Op : Operands) {
+    if (Op == this) // a self-use: this object is no Instruction any more
+      UserList.erase(std::find(UserList.begin(), UserList.end(), this));
+    else if (Op)
+      Op->removeUser(this);
+  }
+}
+
+void User::noteOperandEdit() {
+  // Every User is an Instruction (see classof).
+  if (BasicBlock *BB = static_cast<Instruction *>(this)->getParent())
+    BB->noteOperandEdit(getValueKind() == ValueKind::Phi);
 }
 
 void User::setOperand(unsigned I, Value *V) {
@@ -60,16 +92,18 @@ void User::setOperand(unsigned I, Value *V) {
     return;
   if (Old)
     Old->removeUser(this);
-  const_cast<std::vector<Value *> &>(operands())[I] = V;
+  Operands[I] = V;
   if (V)
     V->addUser(this);
+  noteOperandEdit();
 }
 
 void User::initOperand(unsigned I, Value *V) {
   assert(I < getNumOperands() && "initOperand index out of range");
-  const_cast<std::vector<Value *> &>(operands())[I] = V;
+  Operands[I] = V;
   if (V)
     V->addUser(this);
+  noteOperandEdit();
 }
 
 int User::findOperand(const Value *V) const {
@@ -80,8 +114,18 @@ int User::findOperand(const Value *V) const {
 }
 
 void User::dropAllReferences() {
+  if (Operands.empty())
+    return;
   for (Value *Op : Operands)
     if (Op)
+      Op->removeUser(this);
+  Operands.clear();
+  noteOperandEdit();
+}
+
+void User::dropOperandsForTeardown() {
+  for (Value *Op : Operands)
+    if (Op && Op->hasUses())
       Op->removeUser(this);
   Operands.clear();
 }
@@ -90,6 +134,7 @@ void User::appendOperand(Value *V) {
   Operands.push_back(V);
   if (V)
     V->addUser(this);
+  noteOperandEdit();
 }
 
 void User::eraseOperand(unsigned I) {
@@ -97,6 +142,7 @@ void User::eraseOperand(unsigned I) {
   if (Operands[I])
     Operands[I]->removeUser(this);
   Operands.erase(Operands.begin() + I);
+  noteOperandEdit();
 }
 
 const char *salssa::valueKindName(ValueKind K) {

@@ -28,6 +28,7 @@
 
 namespace salssa {
 
+class Function;
 class Type;
 class User;
 
@@ -171,6 +172,7 @@ protected:
 
 private:
   friend class User;
+  friend class Function;
   void addUser(User *U) {
     if (isUseTracked() && !detail::useTrackingSuspended())
       UserList.push_back(U);
@@ -224,7 +226,9 @@ public:
 
 protected:
   User(ValueKind K, Type *T) : Value(K, T) {}
-  ~User() override { dropAllReferences(); }
+  /// Unregisters the remaining operands; no edit stamp is bumped, since
+  /// the Instruction part of this object is already gone.
+  ~User() override;
 
   /// Appends an operand during construction / phi growth.
   void appendOperand(Value *V);
@@ -233,7 +237,21 @@ protected:
   /// used by Phi::removeIncoming.
   void eraseOperand(unsigned I);
 
+  /// Reserves room for \p N operands (phi growth).
+  void reserveOperands(unsigned N) { Operands.reserve(N); }
+
 private:
+  friend class Function;
+  friend class Value;
+  /// Bumps the edit stamps of the parent block (see BasicBlock.h): an
+  /// operand of this instruction was set, appended or erased.
+  void noteOperandEdit();
+  /// Whole-body teardown (Function::clearBody), after the body's user
+  /// lists were emptied: drops every operand, unregistering only from
+  /// values whose user list still holds entries (values outside the
+  /// body).
+  void dropOperandsForTeardown();
+
   std::vector<Value *> Operands;
 };
 

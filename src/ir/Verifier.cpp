@@ -9,7 +9,6 @@
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -117,28 +116,37 @@ private:
 
   void checkUseListIntegrity() {
     // Count operand references per (user, value) and compare with the
-    // value's user list.
-    std::map<std::pair<const User *, const Value *>, int> RefCount;
+    // value's user list. Both sides are sorted vectors (one sort instead
+    // of a tree node per reference). Each value's users are visited in
+    // pointer order, one diagnostic per distinct user, which fixes the
+    // order of the diagnostics.
+    using Ref = std::pair<const User *, const Value *>;
+    std::vector<Ref> Refs;
     for (const BasicBlock *BB : F)
       for (const Instruction *I : *BB)
         for (const Value *Op : I->operands())
           if (Op)
-            ++RefCount[{I, Op}];
+            Refs.push_back({I, Op});
+    std::sort(Refs.begin(), Refs.end());
+    std::vector<const User *> Users;
     for (const BasicBlock *BB : F)
       for (const Instruction *I : *BB) {
         // Every use of I must come from within this function.
-        std::map<const User *, int> FromUsers;
-        for (const User *U : I->users())
-          ++FromUsers[U];
-        for (auto &[U, N] : FromUsers) {
+        Users.assign(I->users().begin(), I->users().end());
+        std::sort(Users.begin(), Users.end());
+        for (auto It = Users.begin(); It != Users.end();) {
+          const User *U = *It;
+          auto RunEnd = std::upper_bound(It, Users.end(), U);
+          auto N = RunEnd - It;
+          It = RunEnd;
           auto *UI = dyn_cast<Instruction>(U);
           if (!UI || UI->getFunction() != &F) {
             errorAt(I, "used by an instruction outside this function");
             continue;
           }
-          auto It = RefCount.find({U, I});
-          int Expected = It == RefCount.end() ? 0 : It->second;
-          if (Expected != N)
+          auto Range =
+              std::equal_range(Refs.begin(), Refs.end(), Ref{U, I});
+          if (Range.second - Range.first != N)
             errorAt(I, "use-list count mismatch");
         }
       }

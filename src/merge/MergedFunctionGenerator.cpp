@@ -6,6 +6,7 @@
 
 #include "merge/MergedFunctionGenerator.h"
 #include "align/Matcher.h"
+#include "analysis/CFG.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include "merge/SSARepair.h"
@@ -13,11 +14,39 @@
 #include "transforms/Mem2Reg.h"
 #include "transforms/Simplify.h"
 #include <map>
-#include <set>
+#include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace salssa;
 
 namespace {
+
+/// A block -> block table indexed by the key block's number (in its own
+/// function); null when absent.
+class BlockTable {
+public:
+  BasicBlock *&operator[](const BasicBlock *BB) {
+    unsigned N = BB->getNumber();
+    if (N >= Map.size())
+      Map.resize(N + 1, nullptr);
+    return Map[N];
+  }
+  BasicBlock *lookup(const BasicBlock *BB) const {
+    unsigned N = BB->getNumber();
+    return N < Map.size() ? Map[N] : nullptr;
+  }
+  /// The entry for \p BB; throws like std::map::at when it is absent (the
+  /// attempt guard turns that into a skipped pair).
+  BasicBlock *at(const BasicBlock *BB) const {
+    if (BasicBlock *Found = lookup(BB))
+      return Found;
+    throw std::out_of_range("block missing from a generator block table");
+  }
+
+private:
+  std::vector<BasicBlock *> Map;
+};
 
 /// Builds the merged function for one (F1, F2, alignment) triple.
 class Generator {
@@ -32,7 +61,6 @@ public:
 
   GeneratedMerge run() {
     createFunctionShell();
-    indexAlignment();
     createSharedBlocks();
     buildSegmentsAndClones(/*FnIdx=*/1);
     buildSegmentsAndClones(/*FnIdx=*/2);
@@ -45,6 +73,7 @@ public:
         repairSSA(*Merged, Ctx, Origin, Options.EnablePhiCoalescing);
     Result.RepairSlots = Repair.SlotsCreated;
     Result.CoalescedPairs = Repair.CoalescedPairs;
+    Result.PhisCreated = Repair.PhisInserted;
     // Post-repair verification is no longer a debug-only stderr print:
     // the always-on commit firewall (MergePipeline::commitEntry) runs
     // ir/Verifier on every would-be winner and rolls rejects back, so a
@@ -52,12 +81,12 @@ public:
     // Clean-up stage (Fig 1): register promotion of whatever slots remain
     // promotable (for FMSA inputs: the demotion slots that merging did not
     // ruin) and general simplification.
-    promoteAllocasToRegisters(*Merged, Ctx);
+    Result.PhisCreated += promoteAllocasToRegisters(*Merged, Ctx).PhisInserted;
     // PreserveTraps: the merged body must keep the original pair's trap
     // behaviour. Promotion strips demotion slots, which can leave a
     // potentially-trapping load dead; default DCE would erase it and with
     // it an observable out-of-bounds trap.
-    simplifyFunction(*Merged, Ctx, /*PreserveTraps=*/true);
+    Result.Cleanup = simplifyFunction(*Merged, Ctx, /*PreserveTraps=*/true);
     Result.Merged = Merged;
     return Result;
   }
@@ -76,31 +105,13 @@ private:
     Entry = Merged->createBlock("entry");
   }
 
-  void indexAlignment() {
-    for (const AlignedEntry &E : Align.Entries) {
-      if (!E.isMatch())
-        continue;
-      const SeqItem &A = Seq1[static_cast<size_t>(E.Idx1)];
-      const SeqItem &B = Seq2[static_cast<size_t>(E.Idx2)];
-      assert(itemsMatch(A, B) && "alignment paired unmatchable items");
-      if (A.isLabel())
-        LabelMatch[A.Block] = B.Block;
-      else
-        InstMatch[A.Inst] = B.Inst;
-    }
-  }
-
   Value *&vmap(int FnIdx, Value *V) {
     return FnIdx == 1 ? VMap1[V] : VMap2[V];
   }
 
-  std::map<BasicBlock *, BasicBlock *> &head(int FnIdx) {
-    return FnIdx == 1 ? Head1 : Head2;
-  }
+  BlockTable &head(int FnIdx) { return FnIdx == 1 ? Head1 : Head2; }
 
-  std::map<BasicBlock *, BasicBlock *> &revMap(int FnIdx) {
-    return FnIdx == 1 ? RevMap1 : RevMap2;
-  }
+  BlockTable &revMap(int FnIdx) { return FnIdx == 1 ? RevMap1 : RevMap2; }
 
   /// Resolves an original value of function \p FnIdx to its merged-function
   /// counterpart.
@@ -142,11 +153,19 @@ private:
   }
 
   void createSharedBlocks() {
+    size_t N1 = F1.getInstructionCount(), N2 = F2.getInstructionCount();
+    VMap1.reserve(N1);
+    VMap2.reserve(N2);
+    InstBlock1.reserve(N1);
+    InstBlock2.reserve(N2);
+    OrigOfClone.reserve(N1 + N2);
+    Origin.reserve(N1 + N2);
     for (const AlignedEntry &E : Align.Entries) {
       if (!E.isMatch())
         continue;
       const SeqItem &A = Seq1[static_cast<size_t>(E.Idx1)];
       const SeqItem &B = Seq2[static_cast<size_t>(E.Idx2)];
+      assert(itemsMatch(A, B) && "alignment paired unmatchable items");
       BasicBlock *MB = Merged->createBlock();
       if (A.isLabel()) {
         MB->setName("m." + A.Block->getName() + "." + B.Block->getName());
@@ -179,17 +198,12 @@ private:
 
     for (BasicBlock *B : F) {
       std::vector<BasicBlock *> Segs;
-      BasicBlock *LB;
-      auto HIt = Heads.find(B);
-      if (HIt != Heads.end()) {
-        LB = HIt->second; // matched label: shared block
-      } else {
+      BasicBlock *LB = Heads.lookup(B); // a matched label: shared block
+      if (!LB) {
         LB = Merged->createBlock("c" + std::to_string(FnIdx) + "." +
                                  B->getName());
         copyPhis(B, FnIdx, LB);
         Heads[B] = LB;
-        BlockSide[LB] =
-            FnIdx == 1 ? MergeOrigin::FromF1 : MergeOrigin::FromF2;
       }
       Rev[LB] = B;
       Segs.push_back(LB);
@@ -209,8 +223,6 @@ private:
           Run = Merged->createBlock("r" + std::to_string(FnIdx) + "." +
                                     B->getName());
           Rev[Run] = B;
-          BlockSide[Run] =
-              FnIdx == 1 ? MergeOrigin::FromF1 : MergeOrigin::FromF2;
           Segs.push_back(Run);
         }
         Instruction *C = cloneInstruction(I, Ctx);
@@ -222,7 +234,7 @@ private:
       }
 
       for (size_t S = 0; S + 1 < Segs.size(); ++S) {
-        assert(!Next.count(Segs[S]) && "segment chained twice");
+        assert(!Next.lookup(Segs[S]) && "segment chained twice");
         Next[Segs[S]] = Segs[S + 1];
       }
     }
@@ -243,10 +255,8 @@ private:
     for (BasicBlock *MB : Blocks) {
       if (MB == Entry || MB->getTerminator())
         continue;
-      auto It1 = Next1.find(MB);
-      auto It2 = Next2.find(MB);
-      BasicBlock *N1 = It1 == Next1.end() ? nullptr : It1->second;
-      BasicBlock *N2 = It2 == Next2.end() ? nullptr : It2->second;
+      BasicBlock *N1 = Next1.lookup(MB);
+      BasicBlock *N2 = Next2.lookup(MB);
       assert((N1 || N2) && "unterminated block with no chain successor");
       B.setInsertPoint(MB);
       Instruction *Chain;
@@ -365,8 +375,9 @@ private:
         // unnecessary — the unwind target was already routed through
         // head(FnIdx), so recover the original landingpad via the original
         // instruction recorded at clone time.
-        InvokeInst *OrigInv = OrigOfClone.count(Inv)
-                                  ? cast<InvokeInst>(OrigOfClone.at(Inv))
+        auto OIt = OrigOfClone.find(Inv);
+        InvokeInst *OrigInv = OIt != OrigOfClone.end()
+                                  ? cast<InvokeInst>(OIt->second)
                                   : nullptr;
         assert(OrigInv && "cloned invoke without origin record");
         vmap(FnIdx, originalLandingPad(OrigInv->getUnwindDest())) = LP;
@@ -448,22 +459,18 @@ private:
   //===--------------------------------------------------------------------===//
 
   void assignPhiIncomings() {
-    // Full predecessor map over the now-final CFG.
-    std::map<BasicBlock *, std::vector<BasicBlock *>> Preds;
-    for (BasicBlock *MB : *Merged) {
-      Instruction *T = MB->getTerminator();
-      std::set<BasicBlock *> Seen;
-      for (BasicBlock *S : T->successors())
-        if (Seen.insert(S).second)
-          Preds[S].push_back(MB);
-    }
+    // Full predecessor map over the now-final CFG (each predecessor once,
+    // in layout order).
+    PredecessorMap Preds(*Merged);
     for (const CopiedPhi &CP : CopiedPhis) {
-      auto &Rev = revMap(CP.FnIdx);
-      for (BasicBlock *PB : Preds[CP.Clone->getParent()]) {
+      BlockTable &Rev = revMap(CP.FnIdx);
+      const std::vector<BasicBlock *> &PhiPreds =
+          Preds.predecessors(CP.Clone->getParent());
+      CP.Clone->reserveIncoming(static_cast<unsigned>(PhiPreds.size()));
+      for (BasicBlock *PB : PhiPreds) {
         Value *Incoming = Ctx.getUndef(CP.Clone->getType());
-        auto RIt = Rev.find(PB);
-        if (RIt != Rev.end()) {
-          int Idx = CP.Orig->indexOfBlock(RIt->second);
+        if (BasicBlock *OrigPred = Rev.lookup(PB)) {
+          int Idx = CP.Orig->indexOfBlock(OrigPred);
           if (Idx >= 0)
             Incoming = resolve(
                 CP.FnIdx,
@@ -493,22 +500,20 @@ private:
   BasicBlock *Entry = nullptr;
   GeneratedMerge Result;
 
-  // Alignment indices.
-  std::map<BasicBlock *, BasicBlock *> LabelMatch; // B1 -> B2
-  std::map<Instruction *, Instruction *> InstMatch; // I1 -> I2
-
-  // Value/block mappings (§4.1.2).
-  std::map<Value *, Value *> VMap1, VMap2;           // original -> merged
-  std::map<BasicBlock *, BasicBlock *> Head1, Head2; // original -> merged
-  std::map<BasicBlock *, BasicBlock *> RevMap1, RevMap2; // merged -> orig
-  std::map<Instruction *, BasicBlock *> InstBlock1, InstBlock2;
-  std::map<Instruction *, std::pair<Instruction *, Instruction *>> MergedPair;
-  std::map<Instruction *, Instruction *> OrigOfClone; // clone -> original
-  std::map<Instruction *, MergeOrigin> Origin;
-  std::map<BasicBlock *, MergeOrigin> BlockSide;
-  std::map<BasicBlock *, BasicBlock *> Next1, Next2; // chain successors
-  std::set<Instruction *> Synthetic;                 // generator branches
-  std::set<Instruction *> XorFused;
+  // Value/block mappings (§4.1.2). Block tables are indexed by block
+  // number, the rest hashed by pointer; all are only looked up, never
+  // iterated, so no pointer order reaches the output.
+  std::unordered_map<Value *, Value *> VMap1, VMap2; // original -> merged
+  BlockTable Head1, Head2;       // original block -> merged block
+  BlockTable RevMap1, RevMap2;   // merged block -> original block
+  BlockTable Next1, Next2;       // merged block -> chain successor
+  std::unordered_map<Instruction *, BasicBlock *> InstBlock1, InstBlock2;
+  std::unordered_map<Instruction *, std::pair<Instruction *, Instruction *>>
+      MergedPair;
+  std::unordered_map<Instruction *, Instruction *> OrigOfClone; // clone -> orig
+  MergeOriginMap Origin;
+  std::unordered_set<Instruction *> Synthetic; // generator branches
+  std::unordered_set<Instruction *> XorFused;
 
   struct CopiedPhi {
     PhiInst *Clone;

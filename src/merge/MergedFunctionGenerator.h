@@ -37,6 +37,7 @@
 #include "align/NeedlemanWunsch.h"
 #include "merge/MergeOptions.h"
 #include "merge/ParameterMerge.h"
+#include "transforms/Simplify.h"
 
 namespace salssa {
 
@@ -49,6 +50,11 @@ struct GeneratedMerge {
   unsigned XorFusions = 0;
   unsigned RepairSlots = 0;
   unsigned CoalescedPairs = 0;
+  /// Deterministic work counters of the clean-up stack: phis placed by
+  /// both register promotions (SSA repair and clean-up), and the
+  /// simplification run's statistics.
+  unsigned PhisCreated = 0;
+  SimplifyStats Cleanup;
 };
 
 /// Generates the merged function for \p F1 and \p F2 under \p Alignment.

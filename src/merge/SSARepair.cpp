@@ -10,7 +10,6 @@
 #include "ir/Module.h"
 #include "transforms/Mem2Reg.h"
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 using namespace salssa;
@@ -110,23 +109,40 @@ void rewriteUsesWithLoads(Instruction *Def, const std::vector<User *> &Users,
   }
 }
 
-/// The user-block set UB(d) = { Block(u) : u in Users(d) } of §4.4.
-std::set<const BasicBlock *> userBlocks(const Instruction *Def) {
-  std::set<const BasicBlock *> Blocks;
-  for (const User *U : Def->users()) {
-    const auto *UI = cast<Instruction>(U);
-    if (UI->getParent())
-      Blocks.insert(UI->getParent());
-  }
+/// The user-block set UB(d) = { Block(u) : u in Users(d) } of §4.4, as
+/// sorted block numbers.
+std::vector<unsigned> userBlocks(const Instruction *Def) {
+  std::vector<unsigned> Blocks;
+  for (const User *U : Def->users())
+    if (const BasicBlock *BB = cast<Instruction>(U)->getParent())
+      Blocks.push_back(BB->getNumber());
+  std::sort(Blocks.begin(), Blocks.end());
+  Blocks.erase(std::unique(Blocks.begin(), Blocks.end()), Blocks.end());
   return Blocks;
+}
+
+/// |A ∩ B| for two sorted sets.
+size_t overlap(const std::vector<unsigned> &A, const std::vector<unsigned> &B) {
+  size_t N = 0;
+  for (auto IA = A.begin(), IB = B.begin(); IA != A.end() && IB != B.end();) {
+    if (*IA < *IB) {
+      ++IA;
+    } else if (*IB < *IA) {
+      ++IB;
+    } else {
+      ++N;
+      ++IA;
+      ++IB;
+    }
+  }
+  return N;
 }
 
 } // namespace
 
-SSARepairStats salssa::repairSSA(
-    Function &Merged, Context &Ctx,
-    const std::map<Instruction *, MergeOrigin> &Origin,
-    bool EnableCoalescing) {
+SSARepairStats salssa::repairSSA(Function &Merged, Context &Ctx,
+                                 const MergeOriginMap &Origin,
+                                 bool EnableCoalescing) {
   SSARepairStats Stats;
   std::vector<Instruction *> Defs = findViolatingDefs(Merged);
   Stats.ViolatingDefs = static_cast<unsigned>(Defs.size());
@@ -138,35 +154,36 @@ SSARepairStats salssa::repairSSA(
     return It == Origin.end() ? MergeOrigin::Shared : It->second;
   };
 
+  // Tables below are indexed by position in Defs.
+  const size_t NoPartner = ~size_t(0);
+  std::vector<size_t> Partner(Defs.size(), NoPartner);
+
   // --- Phi-node coalescing: pair disjoint definitions (one per input
   // function, same type) greedily by descending user-block overlap.
-  std::map<Instruction *, Instruction *> Partner;
   if (EnableCoalescing) {
-    std::vector<Instruction *> Side1, Side2;
-    for (Instruction *D : Defs) {
-      if (originOf(D) == MergeOrigin::FromF1)
+    std::vector<size_t> Side1, Side2;
+    for (size_t D = 0; D < Defs.size(); ++D) {
+      if (originOf(Defs[D]) == MergeOrigin::FromF1)
         Side1.push_back(D);
-      else if (originOf(D) == MergeOrigin::FromF2)
+      else if (originOf(Defs[D]) == MergeOrigin::FromF2)
         Side2.push_back(D);
     }
     struct Candidate {
       size_t Overlap;
-      Instruction *D1;
-      Instruction *D2;
+      size_t D1;
+      size_t D2;
     };
     std::vector<Candidate> Candidates;
-    std::map<Instruction *, std::set<const BasicBlock *>> UB;
-    for (Instruction *D : Side1)
-      UB[D] = userBlocks(D);
-    for (Instruction *D : Side2)
-      UB[D] = userBlocks(D);
-    for (Instruction *D1 : Side1)
-      for (Instruction *D2 : Side2) {
-        if (D1->getType() != D2->getType())
+    std::vector<std::vector<unsigned>> UB(Defs.size());
+    for (size_t D : Side1)
+      UB[D] = userBlocks(Defs[D]);
+    for (size_t D : Side2)
+      UB[D] = userBlocks(Defs[D]);
+    for (size_t D1 : Side1)
+      for (size_t D2 : Side2) {
+        if (Defs[D1]->getType() != Defs[D2]->getType())
           continue;
-        size_t Overlap = 0;
-        for (const BasicBlock *BB : UB[D1])
-          Overlap += UB[D2].count(BB);
+        size_t Overlap = overlap(UB[D1], UB[D2]);
         if (Overlap > 0)
           Candidates.push_back({Overlap, D1, D2});
       }
@@ -175,7 +192,7 @@ SSARepairStats salssa::repairSSA(
                        return A.Overlap > B.Overlap;
                      });
     for (const Candidate &C : Candidates) {
-      if (Partner.count(C.D1) || Partner.count(C.D2))
+      if (Partner[C.D1] != NoPartner || Partner[C.D2] != NoPartner)
         continue;
       Partner[C.D1] = C.D2;
       Partner[C.D2] = C.D1;
@@ -185,22 +202,21 @@ SSARepairStats salssa::repairSSA(
 
   // --- Demotion: one slot per definition (shared for coalesced pairs).
   // Snapshot the user lists before inserting any spill stores.
-  std::map<Instruction *, std::vector<User *>> SavedUsers;
-  for (Instruction *D : Defs)
-    SavedUsers[D] = std::vector<User *>(D->users().begin(), D->users().end());
+  std::vector<std::vector<User *>> SavedUsers(Defs.size());
+  for (size_t D = 0; D < Defs.size(); ++D)
+    SavedUsers[D].assign(Defs[D]->users().begin(), Defs[D]->users().end());
 
   IRBuilder B(Ctx);
   BasicBlock *Entry = Merged.getEntryBlock();
   std::vector<AllocaInst *> Slots;
-  std::map<Instruction *, AllocaInst *> SlotOf;
-  for (Instruction *D : Defs) {
-    auto PIt = Partner.find(D);
-    if (PIt != Partner.end() && SlotOf.count(PIt->second)) {
-      SlotOf[D] = SlotOf[PIt->second];
+  std::vector<AllocaInst *> SlotOf(Defs.size(), nullptr);
+  for (size_t D = 0; D < Defs.size(); ++D) {
+    if (Partner[D] != NoPartner && SlotOf[Partner[D]]) {
+      SlotOf[D] = SlotOf[Partner[D]];
       continue;
     }
     B.setInsertPoint(Entry->front());
-    AllocaInst *Slot = B.createAlloca(D->getType(), 1, "repair.slot");
+    AllocaInst *Slot = B.createAlloca(Defs[D]->getType(), 1, "repair.slot");
     // Move the builder insertion semantics: createAlloca appends before
     // Entry->front(), keeping all slots at the top of the entry block.
     Slots.push_back(Slot);
@@ -208,10 +224,10 @@ SSARepairStats salssa::repairSSA(
     ++Stats.SlotsCreated;
   }
 
-  for (Instruction *D : Defs)
-    storeDefToSlot(D, SlotOf.at(D), Ctx);
-  for (Instruction *D : Defs)
-    rewriteUsesWithLoads(D, SavedUsers.at(D), SlotOf.at(D), Ctx);
+  for (size_t D = 0; D < Defs.size(); ++D)
+    storeDefToSlot(Defs[D], SlotOf[D], Ctx);
+  for (size_t D = 0; D < Defs.size(); ++D)
+    rewriteUsesWithLoads(Defs[D], SavedUsers[D], SlotOf[D], Ctx);
 
   // --- Promotion: the standard SSA construction algorithm restores the
   // dominance property, inserting phis (with undef pseudo-definitions on

@@ -27,7 +27,7 @@
 #ifndef SALSSA_MERGE_SSAREPAIR_H
 #define SALSSA_MERGE_SSAREPAIR_H
 
-#include <map>
+#include <unordered_map>
 
 namespace salssa {
 
@@ -38,6 +38,10 @@ class Instruction;
 /// Which input function a merged-function instruction originates from.
 /// Shared covers merged pairs and generator-synthesized code.
 enum class MergeOrigin : unsigned char { Shared, FromF1, FromF2 };
+
+/// Provenance of merged-function instructions. Only looked up, never
+/// iterated, so its order cannot reach the output.
+using MergeOriginMap = std::unordered_map<const Instruction *, MergeOrigin>;
 
 /// Statistics from one repair run.
 struct SSARepairStats {
@@ -52,8 +56,7 @@ struct SSARepairStats {
 /// treated as Shared). When \p EnableCoalescing is set, disjoint
 /// definition pairs share slots per the paper's heuristic.
 SSARepairStats repairSSA(Function &Merged, Context &Ctx,
-                         const std::map<Instruction *, MergeOrigin> &Origin,
-                         bool EnableCoalescing);
+                         const MergeOriginMap &Origin, bool EnableCoalescing);
 
 } // namespace salssa
 

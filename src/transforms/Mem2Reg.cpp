@@ -134,13 +134,18 @@ private:
       }
 
       AllocaInst *A = Allocas[Slot];
+      const std::string PhiName =
+          A->hasName() ? A->getName() + ".phi" : "m2r.phi";
       // In reverse post-order; no phi where the slot is dead.
       for (BasicBlock *BB : DT.iteratedDominanceFrontier(DefBlocks[Slot])) {
         if (LiveIn[BB->getNumber()] != Epoch)
           continue;
-        // One phi per (slot, block).
+        // One phi per (slot, block), with one incoming entry per
+        // predecessor (renaming and cleanup fill them all).
         auto *P = new PhiInst(A->getAllocatedType());
-        P->setName(A->hasName() ? A->getName() + ".phi" : "m2r.phi");
+        P->setName(PhiName);
+        P->reserveIncoming(
+            static_cast<unsigned>(CFG.predecessors(BB).size()));
         BB->insert(BB->begin(), P);
         PlacedPhis[BB->getNumber()].push_back({P, Slot});
         ++Stats.PhisInserted;

@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace salssa;
 
@@ -277,7 +275,53 @@ unsigned salssa::removeUnreachableBlocks(Function &F) {
   return static_cast<unsigned>(Dead.size());
 }
 
-unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
+namespace {
+
+/// Per-block record of the stamp a sub-pass saw when it last visited each
+/// block of one function (indexed by block number). Starts with every
+/// block unvisited.
+class BlockStamps {
+public:
+  explicit BlockStamps(const Function &F) : Seen(F.getMaxBlockNumber()) {}
+
+  /// True when block \p Num must be visited: never visited, or \p Stamp
+  /// moved since the last visit. Records \p Stamp as seen, so edits the
+  /// visit itself makes count for the next one.
+  bool needsVisit(unsigned Num, unsigned Stamp) {
+    assert(Num < Seen.size() && "block created during simplification");
+    bool Needs = Seen[Num] != Stamp;
+    Seen[Num] = Stamp;
+    return Needs;
+  }
+
+private:
+  std::vector<std::optional<unsigned>> Seen;
+};
+
+/// What each sub-pass saw when it last ran in one simplifyFunction call.
+/// Lives in the call, never in globals: merge attempts simplify different
+/// functions on different threads. The skip rules are argued in
+/// Simplify.h.
+struct SkipState {
+  explicit SkipState(const Function &F)
+      : InstScan(F), BlockedPhi(F.getMaxBlockNumber(), false), PhiHash(F),
+        DeadScan(F) {}
+
+  // simplifyInstructions.
+  BlockStamps InstScan;
+  std::vector<bool> BlockedPhi; ///< last scan met a dominance-blocked phi
+  std::optional<unsigned> InstCFGStamp;
+  // mergeIdenticalPhis.
+  BlockStamps PhiHash;
+  // removeUnreachableBlocks.
+  std::optional<unsigned> ReachCFGStamp;
+  // eliminateDeadCode.
+  BlockStamps DeadScan;
+  std::optional<unsigned> SweepDropStamp;
+};
+
+unsigned eliminateDeadCode(Function &F, bool PreserveTraps, SkipState &Skip,
+                           SimplifyStats &Stats) {
   auto IsDead = [&](const Instruction *I) {
     return I->isSideEffectFree() && !I->hasUses() &&
            !(PreserveTraps && I->mayTrap());
@@ -286,12 +330,18 @@ unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
   // only they are re-examined. An instruction loses its last use once,
   // hence enters the worklist at most once. Erasure never makes another
   // dead instruction live, so the erased set is the one any sweep order
-  // reaches.
+  // reaches. Only blocks whose instruction stamp moved since their last
+  // scan can hold a new dead instruction.
   std::vector<Instruction *> Worklist;
-  for (BasicBlock *BB : F)
+  bool Scanned = false;
+  for (BasicBlock *BB : F) {
+    if (!Skip.DeadScan.needsVisit(BB->getNumber(), BB->getInstStamp()))
+      continue;
+    Scanned = true;
     for (Instruction *I : *BB)
       if (IsDead(I))
         Worklist.push_back(I);
+  }
   unsigned Removed = 0;
   std::vector<Instruction *> Ops;
   while (!Worklist.empty()) {
@@ -311,31 +361,44 @@ unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
 
   // Dead phi webs: phis that only feed each other never reach the simple
   // no-uses test above. Keep the phis transitively reachable (through use
-  // edges) from non-phi users; drop the rest as a group.
+  // edges) from non-phi users; drop the rest as a group. After a sweep
+  // every phi is live, and a live phi can only die by losing a use.
+  if (Skip.SweepDropStamp == F.getPhiUseDropStamp()) {
+    Stats.SubPassRunsSkipped += !Scanned;
+    return Removed;
+  }
   std::vector<PhiInst *> AllPhis;
-  std::unordered_set<PhiInst *> Live;
   std::vector<PhiInst *> PhiWorklist;
   for (BasicBlock *BB : F)
-    for (PhiInst *P : BB->phis()) {
+    for (Instruction *I : *BB) {
+      auto *P = dyn_cast<PhiInst>(I);
+      if (!P)
+        break;
       AllPhis.push_back(P);
+      P->setMarked(false);
       for (const User *U : P->users())
         if (!isa<PhiInst>(U)) {
-          if (Live.insert(P).second)
-            PhiWorklist.push_back(P);
+          P->setMarked(true);
+          PhiWorklist.push_back(P);
           break;
         }
     }
+  Stats.PhisSwept += static_cast<unsigned>(AllPhis.size());
   while (!PhiWorklist.empty()) {
     PhiInst *P = PhiWorklist.back();
     PhiWorklist.pop_back();
-    for (unsigned K = 0; K < P->getNumIncoming(); ++K)
-      if (auto *In = dyn_cast<PhiInst>(P->getIncomingValue(K)))
-        if (Live.insert(In).second)
-          PhiWorklist.push_back(In);
+    for (unsigned K = 0; K < P->getNumIncoming(); ++K) {
+      auto *In = dyn_cast<PhiInst>(P->getIncomingValue(K));
+      // Marks are only reset on this function's phis.
+      if (In && In->getFunction() == &F && !In->isMarked()) {
+        In->setMarked(true);
+        PhiWorklist.push_back(In);
+      }
+    }
   }
   std::vector<PhiInst *> Dead;
   for (PhiInst *P : AllPhis)
-    if (!Live.count(P))
+    if (!P->isMarked())
       Dead.push_back(P);
   if (!Dead.empty()) {
     for (PhiInst *P : Dead)
@@ -346,7 +409,17 @@ unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
       ++Removed;
     }
   }
+  // Erasing a dead web drops uses of live phis only, which stay live.
+  Skip.SweepDropStamp = F.getPhiUseDropStamp();
   return Removed;
+}
+
+} // namespace
+
+unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
+  SkipState Skip(F);
+  SimplifyStats Stats;
+  return ::eliminateDeadCode(F, PreserveTraps, Skip, Stats);
 }
 
 namespace {
@@ -534,19 +607,75 @@ bool threadTrivialBlocks(Function &F, SimplifyStats &Stats,
 }
 
 /// True when \p P2 has the same type and arity as \p P1 and, for each of
-/// its incoming blocks, the value \p P1 takes from that block.
-bool samePhi(const PhiInst *P1, const PhiInst *P2) {
+/// its incoming blocks, the value \p P1 takes from that block (from its
+/// first entry for that block). When \p P1 repeats no incoming block, an
+/// entry at the same position is the only one for its block, so the
+/// search is skipped for it.
+bool samePhi(const PhiInst *P1, const PhiInst *P2, bool P1RepeatsNoBlock) {
   if (P1->getType() != P2->getType() ||
       P1->getNumIncoming() != P2->getNumIncoming())
     return false;
   for (unsigned K = 0; K < P2->getNumIncoming(); ++K) {
-    int Idx = P1->indexOfBlock(P2->getIncomingBlock(K));
+    BasicBlock *In = P2->getIncomingBlock(K);
+    int Idx = P1RepeatsNoBlock && P1->getIncomingBlock(K) == In
+                  ? static_cast<int>(K)
+                  : P1->indexOfBlock(In);
     if (Idx < 0 || P1->getIncomingValue(static_cast<unsigned>(Idx)) !=
                        P2->getIncomingValue(K))
       return false;
   }
   return true;
 }
+
+uint64_t mix64(uint64_t X) {
+  X ^= X >> 33;
+  X *= 0xff51afd7ed558ccdULL;
+  X ^= X >> 33;
+  X *= 0xc4ceb9fe1a85ec53ULL;
+  return X ^ (X >> 33);
+}
+
+/// A hash of a phi's (incoming block, value) multiset and type. Summing
+/// per-entry hashes makes it independent of the entry order, as samePhi
+/// is, without sorting a key.
+uint64_t phiHash(const PhiInst *P) {
+  uint64_t H = mix64(reinterpret_cast<uintptr_t>(P->getType()));
+  for (unsigned K = 0; K < P->getNumIncoming(); ++K)
+    H += mix64(reinterpret_cast<uintptr_t>(P->getIncomingValue(K)) ^
+               (uint64_t(P->getIncomingBlock(K)->getNumber()) << 48));
+  return H;
+}
+
+/// An open-addressing set of phis keyed by phiHash, reused across blocks.
+class PhiTable {
+public:
+  /// Empties the table and sizes it for \p N phis.
+  void reset(size_t N) {
+    size_t Cap = 16;
+    while (Cap < 2 * N)
+      Cap *= 2;
+    Slots.assign(Cap, {0, nullptr});
+  }
+
+  /// The phi already in the table that samePhi matches \p P, or null
+  /// after inserting \p P.
+  PhiInst *findOrInsert(PhiInst *P) {
+    uint64_t H = phiHash(P);
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+      auto &[SH, Q] = Slots[I];
+      if (!Q) {
+        Slots[I] = {H, P};
+        return nullptr;
+      }
+      if (SH == H && samePhi(Q, P, /*P1RepeatsNoBlock=*/true))
+        return Q;
+    }
+  }
+
+private:
+  std::vector<std::pair<uint64_t, PhiInst *>> Slots;
+};
 
 /// Merges each phi into the first earlier phi of its block that samePhi
 /// matches, comparing every pair. The reference semantics: a merge
@@ -558,7 +687,7 @@ unsigned mergeIdenticalPhisPairwise(std::vector<PhiInst *> &Phis) {
     if (!Phis[A])
       continue;
     for (size_t B = A + 1; B < Phis.size(); ++B) {
-      if (!Phis[B] || !samePhi(Phis[A], Phis[B]))
+      if (!Phis[B] || !samePhi(Phis[A], Phis[B], /*P1RepeatsNoBlock=*/false))
         continue;
       Phis[B]->replaceAllUsesWith(Phis[A]);
       Phis[B]->eraseFromParent();
@@ -577,16 +706,32 @@ unsigned mergeIdenticalPhisPairwise(std::vector<PhiInst *> &Phis) {
 /// incoming value, and no phi repeats an incoming block (samePhi is then
 /// an equivalence on fixed keys). Blocks outside that case use the
 /// pairwise loop.
-bool mergeIdenticalPhis(Function &F, SimplifyStats &Stats) {
+///
+/// The result for a block depends only on its phis' incoming lists, and a
+/// run leaves no identical pair behind unless it edits those lists itself
+/// (a pairwise merge rewriting another phi of the block). So a block whose
+/// phi stamp has not moved since its last visit is skipped.
+bool mergeIdenticalPhis(Function &F, SimplifyStats &Stats, SkipState &Skip) {
   bool Changed = false;
-  std::vector<std::pair<BasicBlock *, Value *>> Key;
-  std::unordered_map<uint64_t, std::vector<PhiInst *>> Groups;
+  bool Visited = false;
+  std::vector<PhiInst *> Phis;
+  PhiTable Table;
   std::vector<unsigned> BlockMark(F.getMaxBlockNumber(), 0);
   unsigned Epoch = 0;
   for (BasicBlock *BB : F) {
-    std::vector<PhiInst *> Phis = BB->phis();
+    if (!Skip.PhiHash.needsVisit(BB->getNumber(), BB->getPhiStamp()))
+      continue;
+    Visited = true;
+    Phis.clear();
+    for (Instruction *I : *BB) {
+      auto *P = dyn_cast<PhiInst>(I);
+      if (!P)
+        break;
+      Phis.push_back(P);
+    }
     if (Phis.size() < 2)
       continue;
+    Stats.PhisHashed += static_cast<unsigned>(Phis.size());
     bool Hashable = true;
     for (PhiInst *P : Phis) {
       ++Epoch;
@@ -605,31 +750,19 @@ bool mergeIdenticalPhis(Function &F, SimplifyStats &Stats) {
       Changed |= Merged != 0;
       continue;
     }
-    Groups.clear();
+    // samePhi is an equivalence here, so at most one kept phi matches.
+    Table.reset(Phis.size());
     for (PhiInst *P : Phis) {
-      Key.clear();
-      for (unsigned K = 0; K < P->getNumIncoming(); ++K)
-        Key.push_back({P->getIncomingBlock(K), P->getIncomingValue(K)});
-      std::sort(Key.begin(), Key.end(), [](const auto &X, const auto &Y) {
-        return X.first->getNumber() < Y.first->getNumber();
-      });
-      uint64_t H = std::hash<const void *>()(P->getType());
-      for (const auto &[In, V] : Key)
-        H = (H ^ std::hash<const void *>()(V) ^ In->getNumber()) *
-            0x100000001b3ULL;
-      std::vector<PhiInst *> &Group = Groups[H];
-      auto Same = std::find_if(Group.begin(), Group.end(),
-                               [&](PhiInst *Q) { return samePhi(Q, P); });
-      if (Same == Group.end()) {
-        Group.push_back(P);
+      PhiInst *Same = Table.findOrInsert(P);
+      if (!Same)
         continue;
-      }
-      P->replaceAllUsesWith(*Same);
+      P->replaceAllUsesWith(Same);
       P->eraseFromParent();
       ++Stats.PhisMerged;
       Changed = true;
     }
   }
+  Stats.SubPassRunsSkipped += !Visited;
   return Changed;
 }
 
@@ -637,8 +770,16 @@ bool mergeIdenticalPhis(Function &F, SimplifyStats &Stats) {
 /// never changes the CFG, so one dominator tree serves the whole round
 /// (used for the dominance-guarded phi fold, and built only if a fold
 /// needs it).
-bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
+///
+/// A block is scanned when its instruction stamp moved since its last
+/// scan, or when its last scan met a phi that only the dominance guard
+/// kept from folding and the CFG stamp moved since the last run.
+bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats,
+                          SkipState &Skip) {
   bool Changed = false;
+  bool Visited = false;
+  bool CFGMoved = Skip.InstCFGStamp != F.getCFGStamp();
+  Skip.InstCFGStamp = F.getCFGStamp();
   // Built on the first dominance query of the round.
   std::optional<DominatorTree> DomTree;
   auto DT = [&]() -> const DominatorTree & {
@@ -647,6 +788,12 @@ bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
     return *DomTree;
   };
   for (BasicBlock *BB : F) {
+    unsigned Num = BB->getNumber();
+    if (!Skip.InstScan.needsVisit(Num, BB->getInstStamp()) &&
+        !(CFGMoved && Skip.BlockedPhi[Num]))
+      continue;
+    Visited = true;
+    Skip.BlockedPhi[Num] = false;
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction *I = *It++;
       Value *V = simplifyInstructionValue(I, Ctx);
@@ -679,8 +826,10 @@ bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
           if (!DominatesAllUsers)
             break;
         }
-        if (!DominatesAllUsers)
+        if (!DominatesAllUsers) {
+          Skip.BlockedPhi[Num] = true;
           continue;
+        }
         V = Common;
       }
       if (V == I)
@@ -691,6 +840,7 @@ bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
       Changed = true;
     }
   }
+  Stats.SubPassRunsSkipped += !Visited;
   return Changed;
 }
 
@@ -704,23 +854,31 @@ SimplifyStats salssa::simplifyFunction(Function &F, Context &Ctx,
   // Compact the block numbers the analyses are indexed by; the rounds
   // below only erase blocks, so the numbers stay valid throughout.
   F.renumberBlocks();
+  SkipState Skip(F);
   const unsigned MaxIterations = 16;
   bool Changed = true;
   while (Changed && Stats.Iterations < MaxIterations) {
     ++Stats.Iterations;
     Changed = false;
-    Changed |= simplifyInstructions(F, Ctx, Stats);
-    Changed |= mergeIdenticalPhis(F, Stats);
+    Changed |= simplifyInstructions(F, Ctx, Stats, Skip);
+    Changed |= mergeIdenticalPhis(F, Stats, Skip);
     Changed |= foldBranches(F, Ctx, Stats);
-    unsigned DeadBlocks = removeUnreachableBlocks(F);
-    Stats.BlocksRemoved += DeadBlocks;
-    Changed |= DeadBlocks != 0;
+    // After a run every block is reachable; only an edge or block edit
+    // can strand one.
+    if (Skip.ReachCFGStamp != F.getCFGStamp()) {
+      unsigned DeadBlocks = removeUnreachableBlocks(F);
+      Stats.BlocksRemoved += DeadBlocks;
+      Changed |= DeadBlocks != 0;
+      Skip.ReachCFGStamp = F.getCFGStamp();
+    } else {
+      ++Stats.SubPassRunsSkipped;
+    }
     // One predecessor snapshot serves both CFG-editing passes, which keep
     // it exact with local updates.
     PredecessorMap Preds(F);
     Changed |= threadTrivialBlocks(F, Stats, Preds);
     Changed |= mergeBlocksIntoPredecessors(F, Ctx, Stats, Preds);
-    unsigned Dce = eliminateDeadCode(F, PreserveTraps);
+    unsigned Dce = ::eliminateDeadCode(F, PreserveTraps, Skip, Stats);
     Stats.InstructionsRemoved += Dce;
     Changed |= Dce != 0;
   }

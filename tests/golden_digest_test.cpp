@@ -12,6 +12,12 @@
 // rewrite of that stack must keep them byte-for-byte. A mismatch means
 // phi incoming order, block order, naming or a fold decision changed.
 //
+// The MergeRecord-stream digests pin every attempt's size decision
+// (names, outcome, SizeMerged, Profitable), including the attempts whose
+// merged bodies are discarded and so never reach a printed module. They
+// were captured before Simplify learned to skip sub-pass work that cannot
+// change the IR.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRPrinter.h"
@@ -169,6 +175,78 @@ TEST(GoldenDigestTest, PromoteAndSimplifyAreByteIdentical) {
     EXPECT_EQ(hex(D.PromotedSimplified), hex(C.Expected.PromotedSimplified))
         << "seed " << C.Seed << " promoteAllocas + simplifyFunction";
   }
+}
+
+/// FNV-1a over one line per attempt: both names, the outcome, the merged
+/// size and the profitability verdict.
+uint64_t recordStreamDigest(BenchmarkProfile P, MergeTechnique T,
+                            unsigned Threshold) {
+  Context Ctx;
+  std::unique_ptr<Module> M = buildBenchmarkModule(P, Ctx);
+  MergeDriverOptions DO;
+  DO.Technique = T;
+  DO.ExplorationThreshold = Threshold;
+  MergeDriverStats S = runFunctionMerging(*M, DO);
+  std::string Stream;
+  for (const MergeRecord &R : S.Records)
+    Stream += R.Name1 + "|" + R.Name2 + "|" +
+              std::to_string(static_cast<unsigned>(R.Stats.Outcome)) + "|" +
+              std::to_string(R.Stats.SizeMerged) + "|" +
+              (R.Stats.Profitable ? "1" : "0") + "\n";
+  return digestOf(Stream);
+}
+
+struct RecordCase {
+  const char *Profile;
+  bool FromSpec;
+  uint64_t SalSSA1, SalSSA5, FMSA1, FMSA5;
+};
+
+const RecordCase RecordCases[] = {
+    {"403.gcc", true,
+     0xeedaee610bd85a14, 0x045e56890f73acbb, 0xb68792e93528a8af, 0xd01be71d69439518},
+    {"447.dealII", true,
+     0x0fa7c84ca103a79c, 0xc42e2d61d8dab597, 0x9936d21b7f8a5c80, 0x82932c40ebc3f7e2},
+    {"456.hmmer", true,
+     0x49a732eb1dc24344, 0x31fd0e8ee89de228, 0x593455e2446c5c3f, 0x0fb9482639021fbc},
+    {"483.xalancbmk", true,
+     0x0450f6258e275674, 0xbddbcf929032c4aa, 0x13722772d44ba959, 0xcca47b722df1cabf},
+    {"bitcount", false,
+     0xe9fbd2ee6b038a9c, 0x863bbc3c1740daad, 0x2ed2053e00ba07c5, 0xbd425fe29bfcc946},
+    {"blowfish_d", false,
+     0x0e2ac865f5d15631, 0x9b7603e7c39217eb, 0x6812e503a1ac87c0, 0x7f7eabc5d1233404},
+};
+
+TEST(GoldenDigestTest, MergeRecordStreamsAreIdentical) {
+  std::vector<BenchmarkProfile> Spec = spec2006Profiles();
+  std::vector<BenchmarkProfile> MiBench = mibenchProfiles();
+  for (const RecordCase &C : RecordCases) {
+    BenchmarkProfile P = profileNamed(C.FromSpec ? Spec : MiBench, C.Profile);
+    EXPECT_EQ(hex(recordStreamDigest(P, MergeTechnique::SalSSA, 1)),
+              hex(C.SalSSA1))
+        << C.Profile << " SalSSA t=1";
+    EXPECT_EQ(hex(recordStreamDigest(P, MergeTechnique::SalSSA, 5)),
+              hex(C.SalSSA5))
+        << C.Profile << " SalSSA t=5";
+    EXPECT_EQ(hex(recordStreamDigest(P, MergeTechnique::FMSA, 1)),
+              hex(C.FMSA1))
+        << C.Profile << " FMSA t=1";
+    EXPECT_EQ(hex(recordStreamDigest(P, MergeTechnique::FMSA, 5)),
+              hex(C.FMSA5))
+        << C.Profile << " FMSA t=5";
+  }
+}
+
+/// Full-size 400.perlbench: its discarded remerges carry thousands of
+/// repair phis per body, the load the Simplify skip rules are built for.
+TEST(GoldenDigestTest, PerlbenchRecordStreamIsIdentical) {
+  for (const BenchmarkProfile &P : spec2006Profiles())
+    if (P.Name == "400.perlbench") {
+      EXPECT_EQ(hex(recordStreamDigest(P, MergeTechnique::SalSSA, 1)),
+                hex(0x40697d693c0244e5));
+      return;
+    }
+  ADD_FAILURE() << "no profile named 400.perlbench";
 }
 
 } // namespace

@@ -217,6 +217,84 @@ TEST(PhiTest, IncomingManagement) {
   EXPECT_EQ(P->hasConstantValue(), X);
 }
 
+// The edit stamps transforms/Simplify relies on move with every mutation
+// they stand for, and only with those.
+TEST(PhiTest, EditStampsFollowMutations) {
+  Context Ctx;
+  Module M("m", Ctx);
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(),
+                                         {Ctx.int1Ty(), Ctx.int32Ty()});
+  Function *F = M.createFunction("stamps", FnTy);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Then = F->createBlock("then");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(Ctx, Entry);
+  auto *Br = cast<BranchInst>(B.createCondBr(F->getArg(0), Then, Join));
+  B.setInsertPoint(Then);
+  auto *X = cast<Instruction>(B.createAdd(F->getArg(1), Ctx.getInt32(1), "x"));
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  PhiInst *P = B.createPhi(Ctx.int32Ty(), "p");
+  P->addIncoming(F->getArg(1), Entry);
+  P->addIncoming(X, Then);
+  B.createRet(P);
+
+  struct Snapshot {
+    unsigned ThenInst, JoinInst, JoinPhi, CFG, PhiDrops;
+  };
+  auto Snap = [&] {
+    return Snapshot{Then->getInstStamp(), Join->getInstStamp(),
+                    Join->getPhiStamp(), F->getCFGStamp(),
+                    F->getPhiUseDropStamp()};
+  };
+
+  // A phi incoming value change moves the phi block's stamps only.
+  Snapshot S = Snap();
+  P->setIncomingValue(1, Ctx.getInt32(7));
+  Snapshot T = Snap();
+  EXPECT_NE(T.JoinInst, S.JoinInst);
+  EXPECT_NE(T.JoinPhi, S.JoinPhi);
+  // ... and %x, which lost its only use, moves its own block's stamp.
+  EXPECT_NE(T.ThenInst, S.ThenInst);
+  EXPECT_EQ(T.CFG, S.CFG);
+  EXPECT_EQ(T.PhiDrops, S.PhiDrops);
+
+  // Redirecting an incoming block moves the phi stamp and the CFG stamp.
+  S = Snap();
+  P->setIncomingBlock(1, Then);
+  T = Snap();
+  EXPECT_NE(T.JoinPhi, S.JoinPhi);
+  EXPECT_NE(T.CFG, S.CFG);
+
+  // A non-phi operand change leaves the phi stamp alone.
+  S = Snap();
+  X->setOperand(1, Ctx.getInt32(2));
+  T = Snap();
+  EXPECT_NE(T.ThenInst, S.ThenInst);
+  EXPECT_EQ(T.JoinPhi, S.JoinPhi);
+
+  // A phi losing a use moves the phi-use-drop stamp.
+  S = Snap();
+  Instruction *Ret = Join->getTerminator();
+  Ret->setOperand(0, Ctx.getInt32(0));
+  T = Snap();
+  EXPECT_NE(T.PhiDrops, S.PhiDrops);
+  EXPECT_NE(T.JoinInst, S.JoinInst);
+
+  // Edges: redirecting a successor and adding a block move the CFG stamp.
+  S = Snap();
+  Br->setSuccessor(1, Then);
+  EXPECT_NE(F->getCFGStamp(), S.CFG);
+  S = Snap();
+  F->createBlock("extra");
+  EXPECT_NE(F->getCFGStamp(), S.CFG);
+
+  // Removing an incoming entry moves the phi stamp.
+  S = Snap();
+  P->removeIncoming(0);
+  EXPECT_NE(Join->getPhiStamp(), S.JoinPhi);
+}
+
 TEST(CFGTest, SuccessorsAndPredecessors) {
   Context Ctx;
   Module M("m", Ctx);
@@ -546,6 +624,31 @@ TEST(VerifierTest, DetectsOperandFromAnotherFunction) {
               std::string::npos)
         << R.str();
   }
+}
+
+// The use-list check reports a value used from another function, and a
+// user list that names a user more often than it references the value.
+TEST(VerifierTest, DetectsUseListDefects) {
+  Context Ctx;
+  Module M("m", Ctx);
+  Instruction *Foreign = buildForeignDef(M, 2, 0);
+  Type *FnTy = Ctx.types().getFunctionTy(Ctx.int32Ty(), {Ctx.int32Ty()});
+  Function *F = M.createFunction("bad", FnTy);
+  IRBuilder B(Ctx, F->createBlock("entry"));
+  B.createAdd(Foreign, Ctx.getInt32(1), "x");
+  auto *A = cast<Instruction>(B.createAdd(F->getArg(0), F->getArg(0), "a"));
+  auto *Y = cast<Instruction>(B.createAdd(A, A, "y"));
+  B.createRet(Y);
+  VerifierReport Other = verifyFunction(*Foreign->getFunction());
+  EXPECT_NE(Other.str().find("used by an instruction outside this function"),
+            std::string::npos)
+      << Other.str();
+  // initOperand on a tracked slot leaves the old entry behind: %a lists
+  // %y twice but %y now reads it once.
+  Y->initOperand(0, F->getArg(0));
+  VerifierReport Bad = verifyFunction(*F);
+  EXPECT_NE(Bad.str().find("use-list count mismatch"), std::string::npos)
+      << Bad.str();
 }
 
 TEST(VerifierTest, DetectsPhiIncomingUnlinked) {

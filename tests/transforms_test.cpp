@@ -341,6 +341,29 @@ TEST(SimplifyTest, ConstantBranchFoldsAndDeadBlockGoes) {
   EXPECT_EQ(cast<ConstantInt>(Ret->getReturnValue())->getSExtValue(), 1);
 }
 
+// A round after one that touched no phi and no edge skips identical-phi
+// merging, unreachable-block removal and the dead-phi-web sweep (the
+// skip rules in Simplify.h), and the work counters show it.
+TEST(SimplifyTest, SecondRoundSkipsUntouchedSubPasses) {
+  Context Ctx;
+  Module M("m", Ctx);
+  Function *F = buildLoopFunction(M, "loop");
+  // A dead use of %s in the loop body: round 1 erases it, round 2 finds
+  // nothing.
+  BasicBlock *Header = *std::next(F->begin(), 1);
+  BasicBlock *Body = *std::next(F->begin(), 2);
+  PhiInst *S = Header->phis()[1];
+  auto *Dead = new BinaryOperator(ValueKind::Mul, S, S);
+  Dead->insertBefore(Body->getTerminator());
+  SimplifyStats Stats = simplifyFunction(*F, Ctx);
+  EXPECT_EQ(Stats.Iterations, 2u);
+  EXPECT_EQ(Stats.InstructionsRemoved, 1u);
+  EXPECT_EQ(Stats.SubPassRunsSkipped, 2u);
+  EXPECT_EQ(Stats.PhisHashed, 2u); // round 1 only
+  EXPECT_EQ(Stats.PhisSwept, 2u);  // round 1 only
+  EXPECT_EQ(countOpcode(*F, ValueKind::Phi), 2u);
+}
+
 TEST(SimplifyTest, ThreadsTrivialBlock) {
   Context Ctx;
   Module M("m", Ctx);
